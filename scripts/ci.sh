@@ -1,6 +1,6 @@
 #!/bin/sh
 # CI entry point: build and test the two supported configurations, then
-# smoke-run the wall-clock bench harness.
+# smoke-run the bench binaries and the benchmark's own tests.
 #
 #  * Debug: no NDEBUG, every assert live — the config that catches contract
 #    violations.
@@ -35,6 +35,11 @@ build-release/bench/workload --quick --json \
     build-release/BENCH_workload_smoke.json
 build-release/bench/overload --quick --json \
     build-release/BENCH_overload_smoke.json
+
+# The benchmark (perfbench/, driven by BENCHMARK.json) compiles its own copy
+# of the library against the testbed names; its tests (~1 min at quick
+# scale) fail when a library change breaks that build or its output contract.
+python3 perfbench/test_perfbench.py
 
 # Schema validation: every benchmark artifact — committed or freshly emitted
 # by the smoke runs above — must carry the versioned-schema marker so

@@ -1,93 +1,38 @@
 #include "core/multi_testbed.h"
 
-#include "core/impairment_chain.h"
+#include <string>
 
 namespace nectar::core {
 
 namespace {
 constexpr hippi::Addr kHaClientBase = 0x200;
 constexpr hippi::Addr kHaServerBase = 0x400;
-
-ImpairmentSpec spec_from(const MultiTestbedOptions& o) {
-  ImpairmentSpec s;
-  s.loss_rate = o.loss_rate;
-  s.loss_seed = o.loss_seed;
-  s.reorder_rate = o.reorder_rate;
-  s.reorder_hold = o.reorder_hold;
-  s.reorder_seed = o.reorder_seed;
-  s.corrupt_rate = o.corrupt_rate;
-  s.corrupt_seed = o.corrupt_seed;
-  s.dup_rate = o.dup_rate;
-  s.dup_seed = o.dup_seed;
-  s.rate_limit_bps = o.rate_limit_bps;
-  s.rate_limit_burst = o.rate_limit_burst;
-  s.partition_windows = o.partition_windows;
-  return s;
-}
 }  // namespace
 
-hippi::Fabric& MultiTestbed::fabric() {
-  if (rate_limit) return *rate_limit;
-  if (partition) return *partition;
-  if (lossy) return *lossy;
-  if (dup) return *dup;
-  if (reorder) return *reorder;
-  if (corrupt) return *corrupt;
-  return *sw;
-}
-
-std::vector<hippi::ImpairedFabric*> MultiTestbed::impairments() const {
-  return impairment_list(corrupt.get(), reorder.get(), dup.get(), lossy.get(),
-                         partition.get(), rate_limit.get());
-}
-
-MultiTestbed::MultiTestbed(MultiTestbedOptions o) : opts(std::move(o)) {
-  if (opts.num_pairs == 0) opts.num_pairs = 1;
-  sw = std::make_unique<hippi::Switch>(sim, opts.mac_mode);
-
-  build_impairment_chain(
-      sim, *sw, spec_from(opts),
-      ImpairmentSlots{corrupt, reorder, dup, lossy, partition, rate_limit});
-
+void HostPairs::build_pairs(
+    const MultiTestbedOptions& opts,
+    const std::function<Site(bool server, std::size_t i)>& site) {
   HostParams hp = opts.params;
   hp.cab.sdma.arb = opts.arb;
   hp.cab.mdma.arb = opts.arb;
-
-  if (opts.telemetry) tel = std::make_unique<telemetry::Telemetry>(sim);
-
+  auto make = [&](const Site& s, const std::string& name) {
+    std::unique_ptr<overload::OverloadManager> ovl;
+    auto h = make_host(s.sim, hp, name, opts, s.tel, ovl);
+    if (ovl) overload_mgrs.push_back(std::move(ovl));
+    return h;
+  };
   for (std::size_t i = 0; i < opts.num_pairs; ++i) {
-    clients.push_back(std::make_unique<Host>(
-        sim, hp, "client" + std::to_string(i)));
-    servers.push_back(std::make_unique<Host>(
-        sim, hp, "server" + std::to_string(i)));
-    if (tel) {
-      clients[i]->set_telemetry(tel.get());
-      servers[i]->set_telemetry(tel.get());
-    }
-    if (opts.overload) {
-      // set_overload before attach_cab: the hosts register their CAB
-      // samplers as the devices appear.
-      for (Host* h : {clients[i].get(), servers[i].get()}) {
-        overload_mgrs.push_back(
-            std::make_unique<overload::OverloadManager>(opts.overload_cfg));
-        h->set_overload(overload_mgrs.back().get());
-      }
-    }
-    const auto ha_c = static_cast<hippi::Addr>(kHaClientBase + i);
-    const auto ha_s = static_cast<hippi::Addr>(kHaServerBase + i);
-    cab_clients.push_back(&clients[i]->attach_cab(fabric(), ha_c, client_ip(i)));
-    cab_servers.push_back(&servers[i]->attach_cab(fabric(), ha_s, server_ip(i)));
-    if (opts.offload) {
-      cab_clients.back()->enable_offload(opts.offload_cfg);
-      cab_servers.back()->enable_offload(opts.offload_cfg);
-    }
-    clients[i]->stack().routes().add(net::make_ip(10, 2, 0, 0), 16,
-                                     cab_clients[i]);
-    servers[i]->stack().routes().add(net::make_ip(10, 1, 0, 0), 16,
-                                     cab_servers[i]);
+    const Site cs = site(false, i);
+    clients.push_back(make(cs, "client" + std::to_string(i)));
+    const Site ss = site(true, i);
+    servers.push_back(make(ss, "server" + std::to_string(i)));
+    cab_clients.push_back(&attach_host(
+        *clients[i], cs.fabric, static_cast<hippi::Addr>(kHaClientBase + i),
+        client_ip(i), net::make_ip(10, 2, 0, 0), 16, opts));
+    cab_servers.push_back(&attach_host(
+        *servers[i], ss.fabric, static_cast<hippi::Addr>(kHaServerBase + i),
+        server_ip(i), net::make_ip(10, 1, 0, 0), 16, opts));
   }
-  // Full mesh of neighbor entries: flows are usually pairwise, but nothing
-  // stops an experiment from crossing pairs.
   for (std::size_t i = 0; i < opts.num_pairs; ++i) {
     for (std::size_t j = 0; j < opts.num_pairs; ++j) {
       cab_clients[i]->add_neighbor(server_ip(j),
@@ -96,21 +41,24 @@ MultiTestbed::MultiTestbed(MultiTestbedOptions o) : opts(std::move(o)) {
                                    static_cast<hippi::Addr>(kHaClientBase + j));
     }
   }
-  if (tel) {
-    const int sim_pid = tel->register_process("sim");
-    tel->register_gauge("sim.pending_events", sim_pid, [this] {
-      return static_cast<double>(sim.pending());
-    });
-    tel->start_ticker(opts.telemetry_tick);
-  }
 }
 
-bool MultiTestbed::run_until_done(const bool& done, sim::Time deadline) {
-  while (!done && sim.now() < deadline) {
-    if (!sim.step()) break;
-    if (sim.now() > deadline) break;
+void HostPairs::destroy_hosts() noexcept {
+  servers.clear();
+  clients.clear();
+}
+
+MultiTestbed::MultiTestbed(MultiTestbedOptions o) : opts(std::move(o)) {
+  if (opts.num_pairs == 0) opts.num_pairs = 1;
+  build_impairment_chain(sim, true, opts.mac_mode, opts);
+  if (opts.telemetry) tel = std::make_unique<telemetry::Telemetry>(sim);
+  build_pairs(opts, [this](bool, std::size_t) {
+    return Site{sim, tel.get(), fabric()};
+  });
+  if (tel) {
+    start_sim_gauge(*tel, sim, "sim", "sim.pending_events",
+                    opts.telemetry_tick);
   }
-  return done;
 }
 
 }  // namespace nectar::core

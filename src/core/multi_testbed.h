@@ -13,54 +13,28 @@
 // outboard memory).
 #pragma once
 
+#include <functional>
 #include <memory>
-#include <utility>
 #include <vector>
 
-#include "core/host.h"
-#include "core/packet_trace.h"
-#include "hippi/link.h"
-#include "hippi/switch.h"
+#include "core/topology.h"
 
 namespace nectar::core {
 
-struct MultiTestbedOptions {
+struct MultiTestbedOptions : ImpairmentSpec, HostFeatures {
   std::size_t num_pairs = 4;  // client/server host pairs on the switch
   HostParams params = HostParams::alpha3000_400();
   hippi::MacMode mac_mode = hippi::MacMode::kLogicalChannels;
   // DMA service discipline for every CAB (overrides params.cab.*.arb).
   cab::ArbPolicy arb = cab::ArbPolicy::kFifo;
-  // Impairment chain, same knobs and layering as TestbedOptions.
-  double loss_rate = 0.0;
-  std::uint64_t loss_seed = 42;
-  double reorder_rate = 0.0;
-  sim::Duration reorder_hold = sim::usec(50.0);
-  std::uint64_t reorder_seed = 43;
-  double corrupt_rate = 0.0;
-  std::uint64_t corrupt_seed = 44;
-  double dup_rate = 0.0;
-  std::uint64_t dup_seed = 45;
-  double rate_limit_bps = 0.0;
-  std::size_t rate_limit_burst = 64 * 1024;
-  std::vector<std::pair<sim::Time, sim::Time>> partition_windows;
-  // Opt-in observability: one shared telemetry::Telemetry registry across all
-  // hosts (every client/server is its own trace process).
-  bool telemetry = false;
-  sim::Duration telemetry_tick = sim::usec(100.0);
-  // Large-segment offload (TSO/GRO analogue) on every CAB driver.
-  bool offload = false;
-  drivers::OffloadConfig offload_cfg = {};
-  // Overload-survival subsystem (admission control + ECN backpressure): one
-  // OverloadManager per host — pressure on one host must not mark or defer
-  // another host's traffic.
-  bool overload = false;
-  overload::OverloadConfig overload_cfg = {};
 };
 
-class MultiTestbed {
+// The client/server host pairs of the many-flow topologies: client i is
+// 10.1.x.y at HIPPI address 0x200 + i, server i is 10.2.x.y at 0x400 + i,
+// and every CAB knows every peer (flows are usually pairwise, but nothing
+// stops an experiment from crossing pairs).
+class HostPairs {
  public:
-  explicit MultiTestbed(MultiTestbedOptions opts = {});
-
   [[nodiscard]] static net::IpAddr client_ip(std::size_t i) noexcept {
     return net::make_ip(10, 1, static_cast<std::uint8_t>(i >> 8),
                         static_cast<std::uint8_t>((i & 0xff) + 1));
@@ -70,31 +44,44 @@ class MultiTestbed {
                         static_cast<std::uint8_t>((i & 0xff) + 1));
   }
 
-  sim::Simulator sim;
-  MultiTestbedOptions opts;
-
-  std::unique_ptr<hippi::Switch> sw;
-  std::unique_ptr<hippi::CorruptFabric> corrupt;
-  std::unique_ptr<hippi::ReorderFabric> reorder;
-  std::unique_ptr<hippi::DupFabric> dup;
-  std::unique_ptr<hippi::LossyFabric> lossy;
-  std::unique_ptr<hippi::PartitionFabric> partition;
-  std::unique_ptr<hippi::RateLimitFabric> rate_limit;
-  std::unique_ptr<telemetry::Telemetry> tel;  // when opts.telemetry
-  // Per-host overload managers (when opts.overload): clients then servers,
-  // same order as the host vectors.
+  // Per-host overload managers (when overload): client i, server i, ...
   std::vector<std::unique_ptr<overload::OverloadManager>> overload_mgrs;
-
   std::vector<std::unique_ptr<Host>> clients;
   std::vector<std::unique_ptr<Host>> servers;
   std::vector<drivers::CabDriver*> cab_clients;
   std::vector<drivers::CabDriver*> cab_servers;
 
   [[nodiscard]] std::size_t num_pairs() const noexcept { return clients.size(); }
-  [[nodiscard]] hippi::Fabric& fabric();
-  [[nodiscard]] std::vector<hippi::ImpairedFabric*> impairments() const;
 
-  bool run_until_done(const bool& done, sim::Time deadline);
+ protected:
+  // Where one host lives: its simulator, telemetry registry (or null) and
+  // the fabric its CAB attaches to.
+  struct Site {
+    sim::Simulator& sim;
+    telemetry::Telemetry* tel;
+    hippi::Fabric& fabric;
+  };
+  // Build opts.num_pairs pairs; site(server, i) places each host.
+  void build_pairs(const MultiTestbedOptions& opts,
+                   const std::function<Site(bool server, std::size_t i)>& site);
+  // The hosts schedule on the derived testbed's executor, so its destructor
+  // calls this while the executor is still alive.
+  void destroy_hosts() noexcept;
+};
+
+// P client/server pairs on one switch, all on one simulator.
+class MultiTestbed : public FabricChain, public HostPairs {
+ public:
+  explicit MultiTestbed(MultiTestbedOptions opts = {});
+  ~MultiTestbed() { destroy_hosts(); }
+
+  sim::Simulator sim;
+  MultiTestbedOptions opts;
+  std::unique_ptr<telemetry::Telemetry> tel;  // when opts.telemetry
+
+  bool run_until_done(const bool& done, sim::Time deadline) {
+    return core::run_until_done(sim, done, deadline);
+  }
 };
 
 }  // namespace nectar::core

@@ -80,8 +80,8 @@ std::string netstat_protocols(Host& host) {
      << " listen overflows, " << st.eph_port_exhausted
      << " eph-port exhausted\n";
   const auto& dm = host.stack().tcp_demux();
-  os << "  table: " << dm.size() << " live / " << dm.buckets() << " buckets ("
-     << dm.num_shards() << " shards), " << dm.tombstones() << " tombstones, "
+  os << "  table: " << dm.size() << " live / " << dm.buckets() << " buckets, "
+     << dm.tombstones() << " tombstones, "
      << dm.stats().lookups << " lookups (" << dm.stats().hits
      << " hits), max probe " << dm.stats().max_probe << "\n";
   os << "  cookies: " << st.syn_cookies_sent << " sent, "
@@ -435,8 +435,7 @@ Json Netstat::json() const {
   jd.set("timewait_live", static_cast<std::uint64_t>(host.stack().timewait_count()));
   jd.set("zombies", static_cast<std::uint64_t>(host.stack().zombie_count()));
   // Connection hash-table internals: probe behaviour tells whether the O(1)
-  // demux claim held up under this run's churn. Aggregates first, then the
-  // per-shard breakdown (shard order is fixed by the hash, so deterministic).
+  // demux claim held up under this run's churn.
   const auto& dm = host.stack().tcp_demux();
   Json jt = Json::object();
   jt.set("live", static_cast<std::uint64_t>(dm.size()));
@@ -451,20 +450,6 @@ Json Netstat::json() const {
   jt.set("erases", dm.stats().erases);
   jt.set("grows", dm.stats().grows);
   jt.set("rehashes", dm.stats().rehashes);
-  Json jshards = Json::array();
-  for (std::size_t i = 0; i < dm.num_shards(); ++i) {
-    const auto& sh = dm.shard(i);
-    Json e = Json::object();
-    e.set("live", static_cast<std::uint64_t>(sh.size()));
-    e.set("buckets", static_cast<std::uint64_t>(sh.buckets()));
-    e.set("tombstones", static_cast<std::uint64_t>(sh.tombstones()));
-    e.set("lookups", sh.stats().lookups);
-    e.set("probe_steps", sh.stats().probe_steps);
-    e.set("max_probe", sh.stats().max_probe);
-    e.set("grows", sh.stats().grows);
-    jshards.push_back(std::move(e));
-  }
-  jt.set("shards", std::move(jshards));
   jd.set("table", std::move(jt));
   root.set("demux", std::move(jd));
 

@@ -2,31 +2,7 @@
 
 #include <string>
 
-#include "core/impairment_chain.h"
-
 namespace nectar::core {
-
-namespace {
-constexpr hippi::Addr kHaClientBase = 0x200;
-constexpr hippi::Addr kHaServerBase = 0x400;
-
-ImpairmentSpec spec_from(const ShardedTestbedOptions& o) {
-  ImpairmentSpec s;
-  s.loss_rate = o.loss_rate;
-  s.loss_seed = o.loss_seed;
-  s.reorder_rate = o.reorder_rate;
-  s.reorder_hold = o.reorder_hold;
-  s.reorder_seed = o.reorder_seed;
-  s.corrupt_rate = o.corrupt_rate;
-  s.corrupt_seed = o.corrupt_seed;
-  s.dup_rate = o.dup_rate;
-  s.dup_seed = o.dup_seed;
-  s.rate_limit_bps = o.rate_limit_bps;
-  s.rate_limit_burst = o.rate_limit_burst;
-  s.partition_windows = o.partition_windows;
-  return s;
-}
-}  // namespace
 
 ShardedTestbed::ShardedTestbed(ShardedTestbedOptions o)
     : engine(1 + 2 * (o.num_pairs == 0 ? 1 : o.num_pairs),
@@ -36,11 +12,7 @@ ShardedTestbed::ShardedTestbed(ShardedTestbedOptions o)
   if (opts.wire_hop <= 0) opts.wire_hop = sim::usec(1.0);
   engine.set_workers(opts.workers);
 
-  sim::Simulator& fsim = engine.sim(kFabricShard);
-  sw = std::make_unique<hippi::Switch>(fsim, opts.mac_mode);
-  hippi::Fabric* outer = build_impairment_chain(
-      fsim, *sw, spec_from(opts),
-      ImpairmentSlots{corrupt, reorder, dup, lossy, partition, rate_limit});
+  build_impairment_chain(engine.sim(kFabricShard), true, opts.mac_mode, opts);
 
   if (opts.telemetry) {
     tels.resize(engine.num_shards());
@@ -48,65 +20,18 @@ ShardedTestbed::ShardedTestbed(ShardedTestbedOptions o)
       tels[s] = std::make_unique<telemetry::Telemetry>(engine.sim(s));
       // Per-shard queue-depth gauge: epoch imbalance shows up as one shard's
       // pending-events series running hot.
-      sim::Simulator* sim_p = &engine.sim(s);
-      const int pid = tels[s]->register_process("shard" + std::to_string(s));
-      tels[s]->register_gauge("shard.pending_events", pid, [sim_p] {
-        return static_cast<double>(sim_p->pending());
-      });
-      tels[s]->start_ticker(opts.telemetry_tick);
+      start_sim_gauge(*tels[s], engine.sim(s), "shard" + std::to_string(s),
+                      "shard.pending_events", opts.telemetry_tick);
     }
   }
 
-  HostParams hp = opts.params;
-  hp.cab.sdma.arb = opts.arb;
-  hp.cab.mdma.arb = opts.arb;
-
-  const std::size_t pairs = opts.num_pairs;
-  uplinks.reserve(2 * pairs);
-  for (std::size_t i = 0; i < pairs; ++i) {
-    const std::size_t cs = client_shard(i);
-    const std::size_t ss = server_shard(i);
-    clients.push_back(std::make_unique<Host>(engine.sim(cs), hp,
-                                             "client" + std::to_string(i)));
-    servers.push_back(std::make_unique<Host>(engine.sim(ss), hp,
-                                             "server" + std::to_string(i)));
-    if (opts.telemetry) {
-      clients[i]->set_telemetry(tels[cs].get());
-      servers[i]->set_telemetry(tels[ss].get());
-    }
+  build_pairs(opts, [this](bool server, std::size_t i) {
+    const std::size_t shard = server ? server_shard(i) : client_shard(i);
     uplinks.push_back(std::make_unique<hippi::ShardUplink>(
-        engine, cs, kFabricShard, opts.wire_hop, *outer));
-    hippi::ShardUplink& up_c = *uplinks.back();
-    uplinks.push_back(std::make_unique<hippi::ShardUplink>(
-        engine, ss, kFabricShard, opts.wire_hop, *outer));
-    hippi::ShardUplink& up_s = *uplinks.back();
-
-    const auto ha_c = static_cast<hippi::Addr>(kHaClientBase + i);
-    const auto ha_s = static_cast<hippi::Addr>(kHaServerBase + i);
-    cab_clients.push_back(&clients[i]->attach_cab(up_c, ha_c, client_ip(i)));
-    cab_servers.push_back(&servers[i]->attach_cab(up_s, ha_s, server_ip(i)));
-    if (opts.offload) {
-      cab_clients.back()->enable_offload(opts.offload_cfg);
-      cab_servers.back()->enable_offload(opts.offload_cfg);
-    }
-    clients[i]->stack().routes().add(net::make_ip(10, 2, 0, 0), 16,
-                                     cab_clients[i]);
-    servers[i]->stack().routes().add(net::make_ip(10, 1, 0, 0), 16,
-                                     cab_servers[i]);
-  }
-  for (std::size_t i = 0; i < pairs; ++i) {
-    for (std::size_t j = 0; j < pairs; ++j) {
-      cab_clients[i]->add_neighbor(server_ip(j),
-                                   static_cast<hippi::Addr>(kHaServerBase + j));
-      cab_servers[i]->add_neighbor(client_ip(j),
-                                   static_cast<hippi::Addr>(kHaClientBase + j));
-    }
-  }
-}
-
-std::vector<hippi::ImpairedFabric*> ShardedTestbed::impairments() const {
-  return impairment_list(corrupt.get(), reorder.get(), dup.get(), lossy.get(),
-                         partition.get(), rate_limit.get());
+        engine, shard, kFabricShard, opts.wire_hop, fabric()));
+    return Site{engine.sim(shard), tels.empty() ? nullptr : tels[shard].get(),
+                *uplinks.back()};
+  });
 }
 
 std::vector<const telemetry::Telemetry*> ShardedTestbed::telemetries() const {
@@ -114,11 +39,6 @@ std::vector<const telemetry::Telemetry*> ShardedTestbed::telemetries() const {
   out.reserve(tels.size());
   for (const auto& t : tels) out.push_back(t.get());
   return out;
-}
-
-bool ShardedTestbed::run_until_done(const std::function<bool()>& done,
-                                    sim::Time deadline) {
-  return engine.run_until_done(done, deadline);
 }
 
 }  // namespace nectar::core

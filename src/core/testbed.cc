@@ -1,95 +1,30 @@
 #include "core/testbed.h"
 
-#include "core/impairment_chain.h"
-
 namespace nectar::core {
 
-namespace {
-ImpairmentSpec spec_from(const TestbedOptions& o) {
-  ImpairmentSpec s;
-  s.loss_rate = o.loss_rate;
-  s.loss_seed = o.loss_seed;
-  s.reorder_rate = o.reorder_rate;
-  s.reorder_hold = o.reorder_hold;
-  s.reorder_seed = o.reorder_seed;
-  s.corrupt_rate = o.corrupt_rate;
-  s.corrupt_seed = o.corrupt_seed;
-  s.dup_rate = o.dup_rate;
-  s.dup_seed = o.dup_seed;
-  s.rate_limit_bps = o.rate_limit_bps;
-  s.rate_limit_burst = o.rate_limit_burst;
-  s.partition_windows = o.partition_windows;
-  s.with_partition = o.with_partition;
-  return s;
-}
-}  // namespace
-
-hippi::Fabric& Testbed::fabric() {
-  if (trace) return *trace;
-  if (rate_limit) return *rate_limit;
-  if (partition) return *partition;
-  if (lossy) return *lossy;
-  if (dup) return *dup;
-  if (reorder) return *reorder;
-  if (corrupt) return *corrupt;
-  if (sw) return *sw;
-  return *wire;
-}
-
-std::vector<hippi::ImpairedFabric*> Testbed::impairments() const {
-  return impairment_list(corrupt.get(), reorder.get(), dup.get(), lossy.get(),
-                         partition.get(), rate_limit.get());
-}
-
 Testbed::Testbed(TestbedOptions o) : opts(std::move(o)) {
-  if (opts.use_switch) {
-    sw = std::make_unique<hippi::Switch>(sim, opts.mac_mode);
-  } else {
-    wire = std::make_unique<hippi::DirectWire>(sim);
-  }
-  hippi::Fabric* inner = sw ? static_cast<hippi::Fabric*>(sw.get())
-                            : static_cast<hippi::Fabric*>(wire.get());
-  hippi::Fabric* outer = build_impairment_chain(
-      sim, *inner, spec_from(opts),
-      ImpairmentSlots{corrupt, reorder, dup, lossy, partition, rate_limit});
+  build_impairment_chain(sim, opts.use_switch, opts.mac_mode, opts);
   if (opts.trace_packets) {
-    trace = std::make_unique<PacketTrace>(sim, *outer);
+    trace = std::make_unique<PacketTrace>(sim, fabric());
+    outer_ = trace.get();
   }
 
-  a = std::make_unique<Host>(sim, opts.params_a, "hostA");
-  b = std::make_unique<Host>(sim, opts.params_b, "hostB");
-
-  if (opts.telemetry) {
-    tel = std::make_unique<telemetry::Telemetry>(sim);
-    a->set_telemetry(tel.get());
-    b->set_telemetry(tel.get());
-    const int wire_pid = tel->register_process("wire");
+  if (opts.telemetry) tel = std::make_unique<telemetry::Telemetry>(sim);
+  a = make_host(sim, opts.params_a, "hostA", opts, tel.get(), ovl_a);
+  b = make_host(sim, opts.params_b, "hostB", opts, tel.get(), ovl_b);
+  if (tel) {
+    const int wire_pid = start_sim_gauge(*tel, sim, "wire",
+                                         "sim.pending_events",
+                                         opts.telemetry_tick);
     if (wire) wire->set_telemetry(tel.get(), wire_pid);
-    tel->register_gauge("sim.pending_events", wire_pid, [this] {
-      return static_cast<double>(sim.pending());
-    });
-    tel->start_ticker(opts.telemetry_tick);
-  }
-
-  if (opts.overload) {
-    // Before attach_cab: samplers register as the CABs appear.
-    ovl_a = std::make_unique<overload::OverloadManager>(opts.overload_cfg);
-    ovl_b = std::make_unique<overload::OverloadManager>(opts.overload_cfg);
-    a->set_overload(ovl_a.get());
-    b->set_overload(ovl_b.get());
   }
 
   const std::size_t mtu = opts.cab_mtu != 0 ? opts.cab_mtu : 32 * 1024;
-  cab_a = &a->attach_cab(fabric(), kHaA, kIpA, mtu);
-  cab_b = &b->attach_cab(fabric(), kHaB, kIpB, mtu);
-  if (opts.offload) {
-    cab_a->enable_offload(opts.offload_cfg);
-    cab_b->enable_offload(opts.offload_cfg);
-  }
+  const net::IpAddr net10 = net::make_ip(10, 0, 0, 0);
+  cab_a = &attach_host(*a, fabric(), kHaA, kIpA, net10, 24, opts, mtu);
+  cab_b = &attach_host(*b, fabric(), kHaB, kIpB, net10, 24, opts, mtu);
   cab_a->add_neighbor(kIpB, kHaB);
   cab_b->add_neighbor(kIpA, kHaA);
-  a->stack().routes().add(net::make_ip(10, 0, 0, 0), 24, cab_a);
-  b->stack().routes().add(net::make_ip(10, 0, 0, 0), 24, cab_b);
 
   if (opts.with_ethernet) {
     ether = std::make_unique<drivers::EtherSegment>(sim, opts.ether_bandwidth_bps);
@@ -98,14 +33,6 @@ Testbed::Testbed(TestbedOptions o) : opts(std::move(o)) {
     a->stack().routes().add(net::make_ip(192, 168, 1, 0), 24, eth_a);
     b->stack().routes().add(net::make_ip(192, 168, 1, 0), 24, eth_b);
   }
-}
-
-bool Testbed::run_until_done(const bool& done, sim::Time deadline) {
-  while (!done && sim.now() < deadline) {
-    if (!sim.step()) break;
-    if (sim.now() > deadline) break;
-  }
-  return done;
 }
 
 }  // namespace nectar::core

@@ -9,56 +9,26 @@
 #pragma once
 
 #include <memory>
-#include <utility>
-#include <vector>
 
-#include "core/host.h"
 #include "core/packet_trace.h"
 #include "core/stats.h"
-#include "hippi/link.h"
-#include "hippi/switch.h"
+#include "core/topology.h"
 
 namespace nectar::core {
 
-struct TestbedOptions {
+struct TestbedOptions : ImpairmentSpec, HostFeatures {
   HostParams params_a = HostParams::alpha3000_400();
   bool trace_packets = false;  // interpose a PacketTrace on the HIPPI fabric
   HostParams params_b = HostParams::alpha3000_400();
   bool use_switch = false;
   hippi::MacMode mac_mode = hippi::MacMode::kLogicalChannels;
-  double loss_rate = 0.0;       // packet loss on the HIPPI fabric
-  std::uint64_t loss_seed = 42;
-  double reorder_rate = 0.0;    // fraction of frames held back
-  sim::Duration reorder_hold = sim::usec(50.0);
-  std::uint64_t reorder_seed = 43;
-  double corrupt_rate = 0.0;    // fraction of frames with one bit flipped
-  std::uint64_t corrupt_seed = 44;
-  double dup_rate = 0.0;        // fraction of frames duplicated
-  std::uint64_t dup_seed = 45;
-  double rate_limit_bps = 0.0;  // bytes/s bottleneck; 0 = unlimited
-  std::size_t rate_limit_burst = 64 * 1024;
-  // Blackhole windows [start, end) applied by a PartitionFabric.
-  std::vector<std::pair<sim::Time, sim::Time>> partition_windows;
-  // Create the PartitionFabric even with no windows, so a FaultInjector can
-  // flap the link at runtime (fault::FaultKind::kLinkFlap).
-  bool with_partition = false;
   bool with_ethernet = false;
   double ether_bandwidth_bps = 10e6 / 8.0;  // classic 10 Mbit/s Ethernet
-  // Opt-in observability: create a telemetry::Telemetry registry, wire it
-  // through both hosts and the wire, and sample gauges every telemetry_tick.
-  bool telemetry = false;
-  sim::Duration telemetry_tick = sim::usec(100.0);
   // Wire MTU of both CAB interfaces (0 = the attach_cab default, 32 KB).
   std::size_t cab_mtu = 0;
-  // Large-segment offload (TSO/GRO analogue) on both CAB drivers.
-  bool offload = false;
-  drivers::OffloadConfig offload_cfg = {};
-  // Overload-survival subsystem: one OverloadManager per host.
-  bool overload = false;
-  overload::OverloadConfig overload_cfg = {};
 };
 
-class Testbed {
+class Testbed : public FabricChain {
  public:
   explicit Testbed(TestbedOptions opts = {});
 
@@ -72,18 +42,8 @@ class Testbed {
   sim::Simulator sim;
   TestbedOptions opts;
 
-  // Fabric chain, innermost first: the wire/switch, then one impairment per
-  // enabled option (corrupt → reorder → dup → lossy → partition → rate
-  // limit), then the trace. fabric() returns the outermost layer.
-  std::unique_ptr<hippi::DirectWire> wire;       // when !use_switch
-  std::unique_ptr<hippi::Switch> sw;             // when use_switch
-  std::unique_ptr<hippi::CorruptFabric> corrupt; // when corrupt_rate > 0
-  std::unique_ptr<hippi::ReorderFabric> reorder; // when reorder_rate > 0
-  std::unique_ptr<hippi::DupFabric> dup;         // when dup_rate > 0
-  std::unique_ptr<hippi::LossyFabric> lossy;     // when loss_rate > 0
-  std::unique_ptr<hippi::PartitionFabric> partition;  // when windows given
-  std::unique_ptr<hippi::RateLimitFabric> rate_limit; // when rate_limit_bps > 0
-  std::unique_ptr<PacketTrace> trace;            // when trace_packets
+  // Outermost fabric layer when trace_packets (fabric() returns it).
+  std::unique_ptr<PacketTrace> trace;
   std::unique_ptr<drivers::EtherSegment> ether;
 
   std::unique_ptr<telemetry::Telemetry> tel;  // when opts.telemetry
@@ -98,14 +58,9 @@ class Testbed {
   drivers::EtherDriver* eth_a = nullptr;
   drivers::EtherDriver* eth_b = nullptr;
 
-  [[nodiscard]] hippi::Fabric& fabric();
-
-  // The active impairments, outermost first (for the JSON stats exporter).
-  [[nodiscard]] std::vector<hippi::ImpairedFabric*> impairments() const;
-
-  // Drive the simulator until `done` is true or `deadline` passes. Returns
-  // whether `done` fired.
-  bool run_until_done(const bool& done, sim::Time deadline);
+  bool run_until_done(const bool& done, sim::Time deadline) {
+    return core::run_until_done(sim, done, deadline);
+  }
 };
 
 }  // namespace nectar::core

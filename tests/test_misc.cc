@@ -1,30 +1,18 @@
-// Odds and ends: the trace gate, CPU account reset, netstat sections,
-// kernapp pattern helpers, and DirectWire/Testbed wiring invariants.
+// Odds and ends: CPU account reset, netstat sections, kernapp pattern
+// helpers, and the wiring invariants every testbed topology shares.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "core/netstat.h"
+#include "core/sharded_testbed.h"
 #include "core/testbed.h"
 #include "kernapp/kernel_socket.h"
-#include "sim/trace.h"
 #include "tests/test_util.h"
 
 namespace nectar {
 namespace {
-
-TEST(TraceGate, EnableDisable) {
-  using sim::Trace;
-  using sim::TraceCat;
-  Trace::disable_all();
-  EXPECT_FALSE(Trace::enabled(TraceCat::Tcp));
-  Trace::enable(TraceCat::Tcp);
-  EXPECT_TRUE(Trace::enabled(TraceCat::Tcp));
-  EXPECT_FALSE(Trace::enabled(TraceCat::Ip));
-  Trace::enable_all();
-  EXPECT_TRUE(Trace::enabled(TraceCat::Ip));
-  Trace::disable(TraceCat::Ip);
-  EXPECT_FALSE(Trace::enabled(TraceCat::Ip));
-  Trace::disable_all();
-}
 
 TEST(CpuAccounts, ResetZeroesEverything) {
   sim::Simulator simu;
@@ -81,6 +69,40 @@ TEST(Testbed, FabricSelectionLayersCorrectly) {
     core::Testbed sw(o);
     EXPECT_EQ(&sw.fabric(), sw.sw.get());
   }
+  // Every topology stacks the same impairment options into the same chain,
+  // and fabric() is its outermost layer. with_partition alone (no windows)
+  // still builds the partition layer, for runtime link flaps.
+  auto impair = [](core::ImpairmentSpec& o) {
+    o.loss_rate = 0.1;
+    o.reorder_rate = 0.1;
+    o.corrupt_rate = 0.1;
+    o.dup_rate = 0.1;
+    o.rate_limit_bps = 1e9;
+    o.with_partition = true;
+  };
+  auto check = [](core::FabricChain& tb) {
+    std::vector<std::string> kinds;
+    for (const hippi::ImpairedFabric* f : tb.impairments())
+      kinds.emplace_back(f->kind());
+    EXPECT_EQ(kinds, (std::vector<std::string>{"rate_limit", "partition", "loss",
+                                               "dup", "reorder", "corrupt"}));
+    ASSERT_FALSE(tb.impairments().empty());
+    EXPECT_EQ(&tb.fabric(), tb.impairments().front());
+  };
+  core::TestbedOptions to;
+  impair(to);
+  core::Testbed t(to);
+  check(t);
+  core::MultiTestbedOptions mo;
+  mo.num_pairs = 1;
+  impair(mo);
+  core::MultiTestbed m(mo);
+  check(m);
+  core::ShardedTestbedOptions so;
+  so.num_pairs = 1;
+  impair(so);
+  core::ShardedTestbed s(so);
+  check(s);
 }
 
 TEST(Testbed, HostsRouteToEachOther) {

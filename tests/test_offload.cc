@@ -245,6 +245,21 @@ struct ImpairCase {
   std::uint64_t seed;
 };
 
+// gtest names each case after the raw bytes of its parameter, so the address
+// of `name` leaks into the test ID. Only the address's low byte survives
+// ASLR's page-granular shift, and with plain literals it moves whenever the
+// linker merges a string anywhere else in the binary. Carving the names out
+// of one 256-byte-aligned block at fixed offsets pins that byte, keeping the
+// test IDs the same from build to build.
+struct ImpairCaseNames {
+  char pad[0x16];
+  char loss[5] = "loss";        // offset 0x16
+  char reorder[8] = "reorder";  // offset 0x1b
+  char mixed[6] = "mixed";      // offset 0x23
+  char corrupt[8] = "corrupt";  // offset 0x29
+};
+alignas(256) constexpr ImpairCaseNames kImpairCaseNames{};
+
 class OffloadImpairment : public ::testing::TestWithParam<ImpairCase> {};
 
 TEST_P(OffloadImpairment, StreamsMatchNonCoalescingStack) {
@@ -274,10 +289,11 @@ TEST_P(OffloadImpairment, StreamsMatchNonCoalescingStack) {
 
 INSTANTIATE_TEST_SUITE_P(
     Impairments, OffloadImpairment,
-    ::testing::Values(ImpairCase{"loss", 0.02, 0, 0, 0, 21},
-                      ImpairCase{"reorder", 0, 0.05, 0, 0, 22},
-                      ImpairCase{"corrupt", 0, 0, 0.01, 0, 23},
-                      ImpairCase{"mixed", 0.01, 0.02, 0.005, 0.01, 24}),
+    ::testing::Values(
+        ImpairCase{kImpairCaseNames.loss, 0.02, 0, 0, 0, 21},
+        ImpairCase{kImpairCaseNames.reorder, 0, 0.05, 0, 0, 22},
+        ImpairCase{kImpairCaseNames.corrupt, 0, 0, 0.01, 0, 23},
+        ImpairCase{kImpairCaseNames.mixed, 0.01, 0.02, 0.005, 0.01, 24}),
     [](const ::testing::TestParamInfo<ImpairCase>& info) {
       return std::string(info.param.name);
     });

@@ -171,7 +171,8 @@ TEST(ParallelEngine, DonePredicateStopsBetweenEpochs) {
 
 // --- sharded testbed ----------------------------------------------------------
 
-apps::FlowMatrixResult run_sharded(std::size_t workers, std::string* dump) {
+apps::FlowMatrixResult run_sharded(std::size_t workers, std::string* dump,
+                                   bool overload = false) {
   ShardedTestbedOptions so;
   so.num_pairs = 8;  // 16 hosts + fabric = 17 shards
   so.workers = workers;
@@ -182,6 +183,7 @@ apps::FlowMatrixResult run_sharded(std::size_t workers, std::string* dump) {
   so.corrupt_rate = 0.01;
   so.telemetry = true;
   so.telemetry_tick = sim::msec(1);
+  so.overload = overload;
   ShardedTestbed tb(so);
 
   apps::FlowMatrixConfig cfg;
@@ -221,18 +223,22 @@ TEST(ParallelSharded, ImpairedMatrixCompletes) {
 
 TEST(ParallelSharded, DeterminismOracleAcrossWorkerCounts) {
   // The 1-worker sharded run is the oracle; 2/4/8 workers must reproduce its
-  // Netstat + telemetry + engine JSON byte-for-byte from the same seed.
-  std::string oracle;
-  const auto r1 = run_sharded(1, &oracle);
-  ASSERT_FALSE(oracle.empty());
-  for (std::size_t workers : {2u, 4u, 8u}) {
-    std::string d;
-    const auto rn = run_sharded(workers, &d);
-    EXPECT_EQ(rn.completed, r1.completed) << workers << " workers";
-    EXPECT_EQ(rn.total_bytes, r1.total_bytes) << workers << " workers";
-    EXPECT_EQ(rn.elapsed, r1.elapsed) << workers << " workers";
-    EXPECT_EQ(d, oracle) << workers
-                         << " workers diverged from the 1-worker oracle";
+  // Netstat + telemetry + engine JSON byte-for-byte from the same seed, with
+  // and without the per-host overload managers.
+  for (bool overload : {false, true}) {
+    std::string oracle;
+    const auto r1 = run_sharded(1, &oracle, overload);
+    ASSERT_FALSE(oracle.empty());
+    EXPECT_EQ(oracle.find("\"overloaded\"") != std::string::npos, overload);
+    for (std::size_t workers : {2u, 4u, 8u}) {
+      std::string d;
+      const auto rn = run_sharded(workers, &d, overload);
+      EXPECT_EQ(rn.completed, r1.completed) << workers << " workers";
+      EXPECT_EQ(rn.total_bytes, r1.total_bytes) << workers << " workers";
+      EXPECT_EQ(rn.elapsed, r1.elapsed) << workers << " workers";
+      EXPECT_EQ(d, oracle) << workers << " workers (overload " << overload
+                           << ") diverged from the 1-worker oracle";
+    }
   }
 }
 
