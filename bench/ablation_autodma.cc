@@ -9,10 +9,12 @@
 #include <cstdio>
 
 #include "apps/ttcp.h"
+#include "harness.h"
 
 using namespace nectar;
 
-int main() {
+int main(int argc, char** argv) {
+  nectar::bench::parse(argc, argv, 0);
   std::printf("Ablation: receive auto-DMA threshold L "
               "(single-copy stack, Alpha 3000/400)\n\n");
   std::printf("%10s | %19s | %19s\n", "L (words)", "4 KB writes", "64 KB writes");

@@ -6,10 +6,12 @@
 #include <cstdio>
 
 #include "apps/experiment.h"
+#include "harness.h"
 
 using namespace nectar;
 
-int main() {
+int main(int argc, char** argv) {
+  nectar::bench::parse(argc, argv, 0);
   const auto params = core::HostParams::alpha3000_400();
   const std::size_t write = 256 * 1024;
   const std::size_t bytes = 16 * 1024 * 1024;

@@ -8,10 +8,12 @@
 #include <cstdio>
 
 #include "apps/experiment.h"
+#include "harness.h"
 
 using namespace nectar;
 
-int main() {
+int main(int argc, char** argv) {
+  nectar::bench::parse(argc, argv, 0);
   const auto params = core::HostParams::alpha3000_400();
   const std::size_t bytes = 8 * 1024 * 1024;
   const std::size_t threshold = 16 * 1024;

@@ -7,10 +7,12 @@
 #include <cstdio>
 
 #include "apps/experiment.h"
+#include "harness.h"
 
 using namespace nectar;
 
-int main() {
+int main(int argc, char** argv) {
+  nectar::bench::parse(argc, argv, 0);
   const auto params = core::HostParams::alpha3000_400();
   std::printf("Ablation: TCP window size (single-copy stack, 256 KB writes)\n\n");
   std::printf("%10s %10s %12s %12s\n", "window", "Mbit/s", "utilization",

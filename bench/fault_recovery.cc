@@ -6,7 +6,6 @@
 // degraded-mode goodput curve (checksum-unit outage of increasing length)
 // against the healthy path.
 #include <cstdio>
-#include <cstring>
 #include <functional>
 #include <string>
 #include <vector>
@@ -14,6 +13,7 @@
 #include "apps/ttcp.h"
 #include "core/netstat.h"
 #include "fault/fault.h"
+#include "harness.h"
 
 namespace {
 
@@ -87,22 +87,9 @@ RunOut run_one(const std::string& name, const FaultPlan& plan,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  bool json = true;
-  std::string json_path = "BENCH_fault_recovery.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else if (std::strcmp(argv[i], "--no-json") == 0) {
-      json = false;
-    } else if (std::strcmp(argv[i], "--json") == 0) {
-      json = true;
-      if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0)
-        json_path = argv[++i];
-    }
-  }
-
-  const std::size_t total = quick ? 1024 * 1024 : 8 * 1024 * 1024;
+  const auto args = bench::parse(argc, argv, bench::kQuick | bench::kJson,
+                                 "fault_recovery");
+  const std::size_t total = args.quick ? 1024 * 1024 : 8 * 1024 * 1024;
 
   const std::vector<Scenario> scenarios = {
       {"healthy", [] { return FaultPlan{}; }},
@@ -171,9 +158,7 @@ int main(int argc, char** argv) {
               "Mb/s", "errs", "resets", "degr", "rexmt", "bounce");
   std::printf("----------------------------------------------------------------------\n");
 
-  core::Json out = core::Json::object();
-  out.set("bench", "fault_recovery");
-  out.set("schema_version", 1);
+  core::Json out = bench::record(args);
   out.set("total_bytes", static_cast<std::uint64_t>(total));
   core::Json jcells = core::Json::array();
 
@@ -201,7 +186,7 @@ int main(int argc, char** argv) {
               total / 1024);
   core::Json curve = core::Json::array();
   const std::vector<double> outages =
-      quick ? std::vector<double>{0.0, 10.0, 40.0}
+      args.quick ? std::vector<double>{0.0, 10.0, 40.0}
             : std::vector<double>{0.0, 5.0, 10.0, 20.0, 40.0, 80.0};
   for (const double ms : outages) {
     FaultPlan p;
@@ -222,13 +207,5 @@ int main(int argc, char** argv) {
   }
   out.set("degraded_goodput_curve", std::move(curve));
   out.set("all_ok", all_ok);
-
-  if (json) {
-    if (!core::write_json_file(json_path, out)) {
-      std::fprintf(stderr, "failed to write %s\n", json_path.c_str());
-      return 1;
-    }
-    std::printf("\nwrote %s\n", json_path.c_str());
-  }
-  return all_ok ? 0 : 1;
+  return bench::finish(args, out, all_ok);
 }

@@ -2,26 +2,15 @@
 // read/write size on the Alpha 3000/400 — unmodified stack, modified
 // (single-copy) stack, and raw HIPPI.
 #include <cstdio>
-#include <cstring>
-#include <string>
 
 #include "apps/experiment.h"
-#include "core/json.h"
+#include "harness.h"
 
 int main(int argc, char** argv) {
   using namespace nectar;
-  bool quick = false;
-  bool json = false;
-  std::string json_path = "BENCH_fig5_alpha400.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else if (std::strcmp(argv[i], "--json") == 0) {
-      json = true;
-      if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0)
-        json_path = argv[++i];
-    }
-  }
+  const auto args =
+      bench::parse(argc, argv, bench::kQuick | bench::kJson, "fig5_alpha400");
+  const bool quick = args.quick;
 
   const core::HostParams params = core::HostParams::alpha3000_400();
   std::vector<std::size_t> sizes;
@@ -62,35 +51,25 @@ int main(int argc, char** argv) {
                 last.eff_unmod > 0 ? last.eff_mod / last.eff_unmod : 0.0);
   }
 
-  if (json) {
-    core::Json root = core::Json::object();
-    root.set("bench", "fig5_alpha400");
-    root.set("schema_version", 1);
-    root.set("model", params.model);
-    root.set("quick", quick);
-    root.set("bytes_per_point", static_cast<std::uint64_t>(bytes));
-    core::Json arr = core::Json::array();
-    for (const auto& p : points) {
-      core::Json j = core::Json::object();
-      j.set("write_size", static_cast<std::uint64_t>(p.write_size));
-      j.set("tput_unmod_mbps", p.tput_unmod);
-      j.set("util_unmod", p.util_unmod);
-      j.set("eff_unmod_mbps", p.eff_unmod);
-      j.set("tput_mod_mbps", p.tput_mod);
-      j.set("util_mod", p.util_mod);
-      j.set("eff_mod_mbps", p.eff_mod);
-      j.set("tput_raw_mbps", p.tput_raw);
-      j.set("ok", p.ok);
-      arr.push_back(std::move(j));
-    }
-    root.set("points", std::move(arr));
-    root.set("crossover_lo_bytes", cross_lo);
-    root.set("crossover_hi_bytes", cross_hi);
-    if (!core::write_json_file(json_path, root)) {
-      std::fprintf(stderr, "failed to write %s\n", json_path.c_str());
-      return 1;
-    }
-    std::printf("wrote %s\n", json_path.c_str());
+  core::Json root = bench::record(args);
+  root.set("model", params.model);
+  root.set("bytes_per_point", static_cast<std::uint64_t>(bytes));
+  core::Json arr = core::Json::array();
+  for (const auto& p : points) {
+    core::Json j = core::Json::object();
+    j.set("write_size", static_cast<std::uint64_t>(p.write_size));
+    j.set("tput_unmod_mbps", p.tput_unmod);
+    j.set("util_unmod", p.util_unmod);
+    j.set("eff_unmod_mbps", p.eff_unmod);
+    j.set("tput_mod_mbps", p.tput_mod);
+    j.set("util_mod", p.util_mod);
+    j.set("eff_mod_mbps", p.eff_mod);
+    j.set("tput_raw_mbps", p.tput_raw);
+    j.set("ok", p.ok);
+    arr.push_back(std::move(j));
   }
-  return 0;
+  root.set("points", std::move(arr));
+  root.set("crossover_lo_bytes", cross_lo);
+  root.set("crossover_hi_bytes", cross_hi);
+  return bench::finish(args, root);
 }

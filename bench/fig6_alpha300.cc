@@ -3,13 +3,13 @@
 // efficient single-copy stack yields *higher throughput*, not just lower
 // utilization.
 #include <cstdio>
-#include <cstring>
 
 #include "apps/experiment.h"
+#include "harness.h"
 
 int main(int argc, char** argv) {
   using namespace nectar;
-  const bool quick = argc > 1 && std::strcmp(argv[1], "--quick") == 0;
+  const bool quick = bench::parse(argc, argv, bench::kQuick).quick;
 
   const core::HostParams params = core::HostParams::alpha3000_300lx();
   std::vector<std::size_t> sizes;

@@ -17,6 +17,7 @@
 #include "core/netstat.h"
 #include "core/sharded_testbed.h"
 #include "core/testbed.h"
+#include "harness.h"
 #include "socket/listener.h"
 
 namespace {
@@ -426,23 +427,10 @@ core::Json parallel_cell_json(std::size_t workers, const ParallelCell& c,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  bool json = true;
-  bool churn_only = false;
-  std::string json_path = "BENCH_flow_scaling.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else if (std::strcmp(argv[i], "--churn-only") == 0) {
-      churn_only = true;
-    } else if (std::strcmp(argv[i], "--no-json") == 0) {
-      json = false;
-    } else if (std::strcmp(argv[i], "--json") == 0) {
-      json = true;
-      if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0)
-        json_path = argv[++i];
-    }
-  }
+  const auto args =
+      bench::parse(argc, argv, bench::kQuick | bench::kJson | bench::kChurnOnly,
+                   "flow_scaling");
+  const bool quick = args.quick;
 
   const std::vector<std::size_t> sweep =
       quick ? std::vector<std::size_t>{1, 8, 64}
@@ -461,10 +449,7 @@ int main(int argc, char** argv) {
               "aggMb/s", "jain", "events/s", "wall_s");
   std::printf("----------------------------------------------------------------\n");
 
-  core::Json out = core::Json::object();
-  out.set("bench", "flow_scaling");
-  out.set("schema_version", 1);
-  out.set("quick", quick);
+  core::Json out = bench::record(args);
   bool all_ok = true;
 
   // Connection churn: control-plane setup/teardown rate and per-connection
@@ -497,16 +482,9 @@ int main(int argc, char** argv) {
     out.set("churn", churn_json(c));
   }
 
-  if (churn_only) {
+  if (args.churn_only) {
     out.set("all_ok", all_ok);
-    if (json) {
-      if (!core::write_json_file(json_path, out)) {
-        std::fprintf(stderr, "failed to write %s\n", json_path.c_str());
-        return 1;
-      }
-      std::printf("wrote %s\n", json_path.c_str());
-    }
-    return all_ok ? 0 : 1;
+    return bench::finish(args, out, all_ok);
   }
 
   core::Json jcells = core::Json::array();
@@ -562,8 +540,8 @@ int main(int argc, char** argv) {
   // Parallel sharded engine: the 64-host / 10k-flow matrix on the
   // ParallelEngine, swept over worker counts. Simulated results must be
   // bit-identical at every worker count (the 1-worker run is the oracle);
-  // events/s measures how much the worker pool buys on this machine, so the
-  // hardware thread count is recorded next to it. Quick mode shrinks the
+  // events/s measures how much the worker pool buys on this machine, so read
+  // it against the record's env.hardware_threads. Quick mode shrinks the
   // topology and stops at 2 workers — that is the TSan smoke lane.
   {
     const std::size_t pairs = quick ? 8 : 32;     // 16 or 64 hosts
@@ -582,8 +560,6 @@ int main(int argc, char** argv) {
     jp.set("hosts", static_cast<std::uint64_t>(2 * pairs));
     jp.set("flows", static_cast<std::uint64_t>(flows));
     jp.set("bytes_per_flow", bpf);
-    jp.set("hardware_threads",
-           static_cast<std::uint64_t>(std::thread::hardware_concurrency()));
     core::Json jcells2 = core::Json::array();
     double base_wall = 0.0;
     std::string oracle_dump;
@@ -616,12 +592,5 @@ int main(int argc, char** argv) {
   }
 
   out.set("all_ok", all_ok);
-  if (json) {
-    if (!core::write_json_file(json_path, out)) {
-      std::fprintf(stderr, "failed to write %s\n", json_path.c_str());
-      return 1;
-    }
-    std::printf("wrote %s\n", json_path.c_str());
-  }
-  return all_ok ? 0 : 1;
+  return bench::finish(args, out, all_ok);
 }

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <functional>
 
+#include "harness.h"
 #include "hippi/switch.h"
 #include "sim/rng.h"
 
@@ -63,7 +64,8 @@ double run_mode(hippi::MacMode mode, int nports, std::size_t pkt_size,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  nectar::bench::parse(argc, argv, 0);
   constexpr int kPorts = 8;
   constexpr std::size_t kPkt = 8 * 1024;
   constexpr sim::Duration kDur = 2 * sim::kSecond;

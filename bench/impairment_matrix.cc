@@ -3,13 +3,13 @@
 // path deliver byte-identical data, and exporting every counter as JSON
 // (BENCH_impairment_matrix.json) via the Netstat exporter.
 #include <cstdio>
-#include <cstring>
 #include <functional>
 #include <string>
 #include <vector>
 
 #include "apps/ttcp.h"
 #include "core/netstat.h"
+#include "harness.h"
 #include "net/ip.h"
 
 namespace {
@@ -24,22 +24,10 @@ struct Cell {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  bool json = true;
-  std::string json_path = "BENCH_impairment_matrix.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else if (std::strcmp(argv[i], "--no-json") == 0) {
-      json = false;
-    } else if (std::strcmp(argv[i], "--json") == 0) {
-      json = true;
-      if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0)
-        json_path = argv[++i];
-    }
-  }
+  const auto args = bench::parse(argc, argv, bench::kQuick | bench::kJson,
+                                 "impairment_matrix");
 
-  const std::size_t total = quick ? 512 * 1024 : 4 * 1024 * 1024;
+  const std::size_t total = args.quick ? 512 * 1024 : 4 * 1024 * 1024;
 
   const std::vector<Cell> cells = {
       {"baseline", [](core::TestbedOptions&) {}},
@@ -71,9 +59,7 @@ int main(int argc, char** argv) {
               "Mb/s", "errs", "rexmt", "csumdrp", "dupsegs", "ooo");
   std::printf("---------------------------------------------------------------------\n");
 
-  core::Json out = core::Json::object();
-  out.set("bench", "impairment_matrix");
-  out.set("schema_version", 1);
+  core::Json out = bench::record(args);
   out.set("total_bytes", static_cast<std::uint64_t>(total));
   core::Json jcells = core::Json::array();
 
@@ -128,13 +114,5 @@ int main(int argc, char** argv) {
   }
   out.set("cells", std::move(jcells));
   out.set("all_ok", all_ok);
-
-  if (json) {
-    if (!core::write_json_file(json_path, out)) {
-      std::fprintf(stderr, "failed to write %s\n", json_path.c_str());
-      return 1;
-    }
-    std::printf("\nwrote %s\n", json_path.c_str());
-  }
-  return all_ok ? 0 : 1;
+  return bench::finish(args, out, all_ok);
 }

@@ -9,13 +9,13 @@
 // and both the metrics document and the Chrome trace must match byte for
 // byte.
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "apps/flow_matrix.h"
 #include "apps/ttcp.h"
 #include "fault/fault.h"
+#include "harness.h"
 #include "telemetry/telemetry.h"
 
 namespace {
@@ -170,25 +170,10 @@ core::Json run_fault_recovery(std::size_t total, bool* ok) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  bool json = true;
-  std::string json_path = "BENCH_latency.json";
-  std::string trace_path;  // empty = no trace file
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else if (std::strcmp(argv[i], "--no-json") == 0) {
-      json = false;
-    } else if (std::strcmp(argv[i], "--json") == 0) {
-      json = true;
-      if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0)
-        json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--trace") == 0) {
-      trace_path = "BENCH_latency_trace.json";
-      if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0)
-        trace_path = argv[++i];
-    }
-  }
+  const auto args =
+      bench::parse(argc, argv, bench::kQuick | bench::kJson | bench::kTrace,
+                   "latency_profile", "latency");
+  const bool quick = args.quick;
 
   const std::size_t total = quick ? 1024 * 1024 : 8 * 1024 * 1024;
   const std::size_t flows = quick ? 32 : 256;
@@ -198,10 +183,7 @@ int main(int argc, char** argv) {
   std::printf("Latency profile (%s): %zu KB single-flow, %zu flows\n",
               quick ? "quick" : "full", total / 1024, flows);
 
-  core::Json out = core::Json::object();
-  out.set("bench", "latency_profile");
-  out.set("schema_version", 1);
-  out.set("quick", quick);
+  core::Json out = bench::record(args);
   core::Json cells = core::Json::array();
 
   auto single = run_single_flow(total);
@@ -235,23 +217,16 @@ int main(int argc, char** argv) {
   }
   out.set("all_ok", all_ok);
 
-  if (!trace_path.empty()) {
-    std::FILE* f = std::fopen(trace_path.c_str(), "w");
+  if (!args.trace_path.empty()) {
+    std::FILE* f = std::fopen(args.trace_path.c_str(), "w");
     if (f == nullptr) {
-      std::fprintf(stderr, "failed to write %s\n", trace_path.c_str());
+      std::fprintf(stderr, "failed to write %s\n", args.trace_path.c_str());
       return 1;
     }
     std::fputs(single.trace_dump.c_str(), f);
     std::fputc('\n', f);
     std::fclose(f);
-    std::printf("wrote %s\n", trace_path.c_str());
+    std::printf("wrote %s\n", args.trace_path.c_str());
   }
-  if (json) {
-    if (!core::write_json_file(json_path, out)) {
-      std::fprintf(stderr, "failed to write %s\n", json_path.c_str());
-      return 1;
-    }
-    std::printf("wrote %s\n", json_path.c_str());
-  }
-  return all_ok ? 0 : 1;
+  return bench::finish(args, out, all_ok);
 }

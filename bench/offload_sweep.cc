@@ -11,10 +11,9 @@
 //
 // Every run is byte-verified; a tso_max sweep at the smallest MTU shows the
 // marginal value of each extra staged segment. Emits BENCH_offload.json
-// (--json), schema_version 1.
+// (--json).
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -23,6 +22,7 @@
 #include "core/netstat.h"
 #include "core/testbed.h"
 #include "drivers/cab_driver.h"
+#include "harness.h"
 
 namespace {
 
@@ -100,20 +100,9 @@ core::Json cell_json(const Cell& c) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  bool json = true;
-  std::string json_path = "BENCH_offload.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else if (std::strcmp(argv[i], "--no-json") == 0) {
-      json = false;
-    } else if (std::strcmp(argv[i], "--json") == 0) {
-      json = true;
-      if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0)
-        json_path = argv[++i];
-    }
-  }
+  const auto args = bench::parse(argc, argv, bench::kQuick | bench::kJson,
+                                 "offload_sweep", "offload");
+  const bool quick = args.quick;
 
   const std::size_t total = quick ? 4 * 1024 * 1024 : 32 * 1024 * 1024;
   const std::vector<std::size_t> mtus =
@@ -127,10 +116,7 @@ int main(int argc, char** argv) {
               "on Mb/s", "off M/w-s", "on M/w-s", "supers", "merged");
   std::printf("-------------------------------------------------------------------\n");
 
-  core::Json out = core::Json::object();
-  out.set("bench", "offload_sweep");
-  out.set("schema_version", 1);
-  out.set("quick", quick);
+  core::Json out = bench::record(args);
   out.set("total_bytes", static_cast<std::uint64_t>(total));
   core::Json jmtu = core::Json::array();
 
@@ -187,12 +173,5 @@ int main(int argc, char** argv) {
     std::printf("\nwarning: offload-on did not beat off in sim-Mb/s per "
                 "wall-s at MTU <= 4K on this run\n");
 
-  if (json) {
-    if (!core::write_json_file(json_path, out)) {
-      std::fprintf(stderr, "failed to write %s\n", json_path.c_str());
-      return 1;
-    }
-    std::printf("\nwrote %s\n", json_path.c_str());
-  }
-  return all_ok ? 0 : 1;
+  return bench::finish(args, out, all_ok);
 }

@@ -23,13 +23,13 @@
 // All cells are byte-exact under a fixed seed, so the committed JSON is
 // reproducible: regenerate with `overload --json BENCH_overload.json`.
 #include <cstdio>
-#include <cstring>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "core/netstat.h"
 #include "fault/fault.h"
+#include "harness.h"
 #include "overload/ops_console.h"
 #include "wload/population.h"
 
@@ -343,28 +343,14 @@ core::Json run_ecn_ab(bool quick, bool* ok) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  bool json = true;
-  std::string json_path = "BENCH_overload.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else if (std::strcmp(argv[i], "--no-json") == 0) {
-      json = false;
-    } else if (std::strcmp(argv[i], "--json") == 0) {
-      json = true;
-      if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0)
-        json_path = argv[++i];
-    }
-  }
+  const auto args = bench::parse(argc, argv, bench::kQuick | bench::kJson,
+                                 "overload");
+  const bool quick = args.quick;
 
   bool all_ok = true;
   std::printf("Overload-survival bench (%s)\n", quick ? "quick" : "full");
 
-  core::Json out = core::Json::object();
-  out.set("bench", "overload");
-  out.set("schema_version", 1);
-  out.set("quick", quick);
+  core::Json out = bench::record(args);
   core::Json cells = core::Json::array();
 
   std::printf("overload_soak:\n");
@@ -391,13 +377,5 @@ int main(int argc, char** argv) {
     out.set("determinism", std::move(jd));
   }
   out.set("all_ok", all_ok);
-
-  if (json) {
-    if (!core::write_json_file(json_path, out)) {
-      std::fprintf(stderr, "failed to write %s\n", json_path.c_str());
-      return 1;
-    }
-    std::printf("wrote %s\n", json_path.c_str());
-  }
-  return all_ok ? 0 : 1;
+  return bench::finish(args, out, all_ok);
 }

@@ -8,10 +8,12 @@
 #include <cstdio>
 
 #include "apps/experiment.h"
+#include "harness.h"
 
 using namespace nectar;
 
-int main() {
+int main(int argc, char** argv) {
+  nectar::bench::parse(argc, argv, 0);
   const core::HostParams p = core::HostParams::alpha3000_400();
   const double pkt = 32 * 1024;  // bytes per packet (MTU-sized)
   const double mbit = pkt * 8 / 1e6;

@@ -10,6 +10,7 @@
 #include <cstdio>
 
 #include "apps/ttcp.h"
+#include "harness.h"
 #include "kernapp/kernel_socket.h"
 #include "socket/listener.h"
 
@@ -72,7 +73,8 @@ Res run_share(std::size_t total) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  nectar::bench::parse(argc, argv, 0);
   const std::size_t total = 16 * 1024 * 1024;
   std::printf("Table 1's API dimension over the CAB (64 KB writes, 16 MB)\n\n");
   std::printf("%-34s %10s %8s %12s\n", "API", "Mbit/s", "util", "efficiency");

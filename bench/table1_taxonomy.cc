@@ -4,9 +4,11 @@
 // taxonomy/taxonomy.h).
 #include <cstdio>
 
+#include "harness.h"
 #include "taxonomy/taxonomy.h"
 
-int main() {
+int main(int argc, char** argv) {
+  nectar::bench::parse(argc, argv, 0);
   using namespace nectar::taxonomy;
 
   std::printf("Table 1: host interface taxonomy — transmit path\n\n");

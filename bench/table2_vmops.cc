@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/host.h"
+#include "harness.h"
 
 using namespace nectar;
 
@@ -35,7 +36,8 @@ struct Probe {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  nectar::bench::parse(argc, argv, 0);
   sim::Simulator simu;
   core::Host host(simu, core::HostParams::alpha3000_400(), "host");
   auto& proc = host.create_process("probe");

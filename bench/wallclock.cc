@@ -11,7 +11,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <map>
 #include <new>
 #include <string>
@@ -23,6 +22,7 @@
 #include "checksum/simd.h"
 #include "core/json.h"
 #include "core/netstat.h"
+#include "harness.h"
 #include "mbuf/mbuf.h"
 #include "net/conn_table.h"
 #include "net/netstack.h"
@@ -110,8 +110,8 @@ EventBenchResult bench_plain_events(std::uint64_t target) {
 // of a ParallelEngine, with an occasional cross-shard hop (one lookahead out)
 // so every epoch exercises the outbox/drain path, swept over worker counts.
 // On a single-core host the >1-worker cells measure pure coordination
-// overhead; hardware_threads is recorded next to the numbers so a reader can
-// tell which regime they are looking at.
+// overhead; the record's env.hardware_threads tells a reader which regime
+// they are looking at.
 struct ShardChain {
   sim::ParallelEngine* e;
   std::size_t shard;
@@ -516,18 +516,9 @@ OverloadBenchResult bench_overload_hooks(bool quick) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  bool json = false;
-  std::string json_path = "BENCH_wallclock.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else if (std::strcmp(argv[i], "--json") == 0) {
-      json = true;
-      if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0)
-        json_path = argv[++i];
-    }
-  }
+  const auto args =
+      bench::parse(argc, argv, bench::kQuick | bench::kJson, "wallclock");
+  const bool quick = args.quick;
 
   const std::uint64_t ev_target = quick ? 200'000 : 2'000'000;
   const std::uint64_t mbuf_iters = quick ? 200'000 : 2'000'000;
@@ -596,85 +587,73 @@ int main(int argc, char** argv) {
   std::printf("overload on     : %7.1f ns/mark_ecn, %5.1f ns/admit_syn (3 samplers)\n",
               ovl.enabled_mark_ns, ovl.enabled_admit_ns);
 
-  if (json) {
-    core::Json root = core::Json::object();
-    root.set("bench", "wallclock");
-    root.set("schema_version", 1);
-    root.set("quick", quick);
-    core::Json ev = core::Json::object();
-    ev.set("plain_events_per_sec", plain.events_per_sec);
-    ev.set("plain_heap_allocs_per_event", plain.heap_allocs_per_event);
-    ev.set("timer_events_per_sec", timer.events_per_sec);
-    ev.set("timer_heap_allocs_per_event", timer.heap_allocs_per_event);
-    ev.set("timer_cancels", timer.cancels);
-    root.set("events", std::move(ev));
-    core::Json jth = core::Json::object();
-    jth.set("hardware_threads",
-            static_cast<std::uint64_t>(std::thread::hardware_concurrency()));
-    jth.set("shards", 8);
-    core::Json jtc = core::Json::array();
-    for (const auto& tc : threads) {
-      core::Json j = core::Json::object();
-      j.set("workers", static_cast<std::uint64_t>(tc.workers));
-      j.set("events", tc.events);
-      j.set("epochs", tc.epochs);
-      j.set("wall_s", tc.wall_s);
-      j.set("events_per_sec", tc.events_per_sec);
-      jtc.push_back(std::move(j));
-    }
-    jth.set("cells", std::move(jtc));
-    root.set("threads", std::move(jth));
-    core::Json jm = core::Json::object();
-    jm.set("get_free_per_sec", mb.get_free_per_sec);
-    jm.set("heap_allocs_per_get_free", mb.heap_allocs_per_get_free);
-    jm.set("cluster_per_sec", mb.cluster_per_sec);
-    jm.set("heap_allocs_per_cluster", mb.heap_allocs_per_cluster);
-    jm.set("chain_per_sec", mb.chain_per_sec);
-    jm.set("freelist_hits", mb.stats.freelist_hits);
-    jm.set("cluster_freelist_hits", mb.stats.cluster_freelist_hits);
-    jm.set("high_water", static_cast<std::uint64_t>(mb.stats.high_water));
-    root.set("mbuf", std::move(jm));
-    core::Json jx = core::Json::object();
-    jx.set("conns", static_cast<std::uint64_t>(dx.conns));
-    jx.set("table_lookups_per_sec", dx.table_lookups_per_sec);
-    jx.set("table_heap_allocs_per_lookup", dx.table_heap_allocs_per_lookup);
-    jx.set("map_lookups_per_sec", dx.map_lookups_per_sec);
-    jx.set("speedup", dx.speedup);
-    root.set("demux", std::move(jx));
-    root.set("checksum_active", checksum::impl_name(checksum::active_impl()));
-    core::Json jc = core::Json::array();
-    for (const auto& p : cs) {
-      core::Json j = core::Json::object();
-      j.set("impl", p.impl);
-      j.set("size", static_cast<std::uint64_t>(p.size));
-      j.set("gb_per_sec", p.gb_per_sec);
-      jc.push_back(std::move(j));
-    }
-    root.set("checksum", std::move(jc));
-    core::Json jt = core::Json::object();
-    jt.set("sim_mbps", tt.sim_mbps);
-    jt.set("wall_s", tt.wall_s);
-    jt.set("sim_mbps_per_wall_s", tt.sim_mbps_per_wall_s);
-    jt.set("events_per_sec", tt.events_per_sec);
-    jt.set("bytes", tt.bytes);
-    root.set("ttcp", std::move(jt));
-    core::Json jtel = core::Json::object();
-    jtel.set("disabled_guard_ns", tel.disabled_guard_ns);
-    jtel.set("span_pair_ns", tel.span_pair_ns);
-    jtel.set("hist_record_ns", tel.hist_record_ns);
-    jtel.set("ttcp_enabled_wall_s", tel.ttcp_enabled_wall_s);
-    jtel.set("ttcp_enabled_overhead_pct", tel.ttcp_enabled_overhead_pct);
-    root.set("telemetry", std::move(jtel));
-    core::Json jovl = core::Json::object();
-    jovl.set("disabled_guard_ns", ovl.disabled_guard_ns);
-    jovl.set("enabled_mark_ns", ovl.enabled_mark_ns);
-    jovl.set("enabled_admit_ns", ovl.enabled_admit_ns);
-    root.set("overload", std::move(jovl));
-    if (!core::write_json_file(json_path, root)) {
-      std::fprintf(stderr, "failed to write %s\n", json_path.c_str());
-      return 1;
-    }
-    std::printf("wrote %s\n", json_path.c_str());
+  core::Json root = bench::record(args);
+  core::Json ev = core::Json::object();
+  ev.set("plain_events_per_sec", plain.events_per_sec);
+  ev.set("plain_heap_allocs_per_event", plain.heap_allocs_per_event);
+  ev.set("timer_events_per_sec", timer.events_per_sec);
+  ev.set("timer_heap_allocs_per_event", timer.heap_allocs_per_event);
+  ev.set("timer_cancels", timer.cancels);
+  root.set("events", std::move(ev));
+  core::Json jth = core::Json::object();
+  jth.set("shards", 8);
+  core::Json jtc = core::Json::array();
+  for (const auto& tc : threads) {
+    core::Json j = core::Json::object();
+    j.set("workers", static_cast<std::uint64_t>(tc.workers));
+    j.set("events", tc.events);
+    j.set("epochs", tc.epochs);
+    j.set("wall_s", tc.wall_s);
+    j.set("events_per_sec", tc.events_per_sec);
+    jtc.push_back(std::move(j));
   }
-  return 0;
+  jth.set("cells", std::move(jtc));
+  root.set("threads", std::move(jth));
+  core::Json jm = core::Json::object();
+  jm.set("get_free_per_sec", mb.get_free_per_sec);
+  jm.set("heap_allocs_per_get_free", mb.heap_allocs_per_get_free);
+  jm.set("cluster_per_sec", mb.cluster_per_sec);
+  jm.set("heap_allocs_per_cluster", mb.heap_allocs_per_cluster);
+  jm.set("chain_per_sec", mb.chain_per_sec);
+  jm.set("freelist_hits", mb.stats.freelist_hits);
+  jm.set("cluster_freelist_hits", mb.stats.cluster_freelist_hits);
+  jm.set("high_water", static_cast<std::uint64_t>(mb.stats.high_water));
+  root.set("mbuf", std::move(jm));
+  core::Json jx = core::Json::object();
+  jx.set("conns", static_cast<std::uint64_t>(dx.conns));
+  jx.set("table_lookups_per_sec", dx.table_lookups_per_sec);
+  jx.set("table_heap_allocs_per_lookup", dx.table_heap_allocs_per_lookup);
+  jx.set("map_lookups_per_sec", dx.map_lookups_per_sec);
+  jx.set("speedup", dx.speedup);
+  root.set("demux", std::move(jx));
+  root.set("checksum_active", checksum::impl_name(checksum::active_impl()));
+  core::Json jc = core::Json::array();
+  for (const auto& p : cs) {
+    core::Json j = core::Json::object();
+    j.set("impl", p.impl);
+    j.set("size", static_cast<std::uint64_t>(p.size));
+    j.set("gb_per_sec", p.gb_per_sec);
+    jc.push_back(std::move(j));
+  }
+  root.set("checksum", std::move(jc));
+  core::Json jt = core::Json::object();
+  jt.set("sim_mbps", tt.sim_mbps);
+  jt.set("wall_s", tt.wall_s);
+  jt.set("sim_mbps_per_wall_s", tt.sim_mbps_per_wall_s);
+  jt.set("events_per_sec", tt.events_per_sec);
+  jt.set("bytes", tt.bytes);
+  root.set("ttcp", std::move(jt));
+  core::Json jtel = core::Json::object();
+  jtel.set("disabled_guard_ns", tel.disabled_guard_ns);
+  jtel.set("span_pair_ns", tel.span_pair_ns);
+  jtel.set("hist_record_ns", tel.hist_record_ns);
+  jtel.set("ttcp_enabled_wall_s", tel.ttcp_enabled_wall_s);
+  jtel.set("ttcp_enabled_overhead_pct", tel.ttcp_enabled_overhead_pct);
+  root.set("telemetry", std::move(jtel));
+  core::Json jovl = core::Json::object();
+  jovl.set("disabled_guard_ns", ovl.disabled_guard_ns);
+  jovl.set("enabled_mark_ns", ovl.enabled_mark_ns);
+  jovl.set("enabled_admit_ns", ovl.enabled_admit_ns);
+  root.set("overload", std::move(jovl));
+  return bench::finish(args, root);
 }

@@ -17,11 +17,11 @@
 // All cells are byte-exact under a fixed seed, so the committed JSON is
 // reproducible: regenerate with `workload --json BENCH_workload.json`.
 #include <cstdio>
-#include <cstring>
 #include <string>
 
 #include "apps/ttcp.h"
 #include "core/netstat.h"
+#include "harness.h"
 #include "wload/population.h"
 #include "wload/trace_replay.h"
 
@@ -216,28 +216,14 @@ core::Json run_replay(bool quick, const std::string& pcap_path, bool* ok) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  bool json = true;
-  std::string json_path = "BENCH_workload.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else if (std::strcmp(argv[i], "--no-json") == 0) {
-      json = false;
-    } else if (std::strcmp(argv[i], "--json") == 0) {
-      json = true;
-      if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0)
-        json_path = argv[++i];
-    }
-  }
+  const auto args = bench::parse(argc, argv, bench::kQuick | bench::kJson,
+                                 "workload");
+  const bool quick = args.quick;
 
   bool all_ok = true;
   std::printf("Workload frontend bench (%s)\n", quick ? "quick" : "full");
 
-  core::Json out = core::Json::object();
-  out.set("bench", "workload");
-  out.set("schema_version", 1);
-  out.set("quick", quick);
+  core::Json out = bench::record(args);
   core::Json cells = core::Json::array();
 
   std::printf("population_steady:\n");
@@ -249,7 +235,7 @@ int main(int argc, char** argv) {
   cells.push_back(run_flash(quick, &all_ok));
 
   std::printf("trace_replay:\n");
-  cells.push_back(run_replay(quick, json_path + ".pcap", &all_ok));
+  cells.push_back(run_replay(quick, args.json_path + ".pcap", &all_ok));
   out.set("scenarios", std::move(cells));
 
   // Same seed, fresh world: the steady cell — goodputs, every histogram
@@ -267,14 +253,6 @@ int main(int argc, char** argv) {
     out.set("determinism", std::move(jd));
   }
   out.set("all_ok", all_ok);
-  std::remove((json_path + ".pcap").c_str());
-
-  if (json) {
-    if (!core::write_json_file(json_path, out)) {
-      std::fprintf(stderr, "failed to write %s\n", json_path.c_str());
-      return 1;
-    }
-    std::printf("wrote %s\n", json_path.c_str());
-  }
-  return all_ok ? 0 : 1;
+  std::remove((args.json_path + ".pcap").c_str());
+  return bench::finish(args, out, all_ok);
 }

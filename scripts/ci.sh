@@ -1,6 +1,7 @@
 #!/bin/sh
-# CI entry point: build and test the two supported configurations, then
-# smoke-run the bench binaries and the benchmark's own tests.
+# CI entry point: build and test the two supported configurations (the
+# Release ctest includes the bench smokes), then run the benchmark's own
+# tests and validate every bench record.
 #
 #  * Debug: no NDEBUG, every assert live — the config that catches contract
 #    violations.
@@ -21,30 +22,15 @@ cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release \
 cmake --build build-release -j"$jobs"
 ctest --test-dir build-release --output-on-failure -j"$jobs"
 
-build-release/bench/wallclock --quick --json \
-    build-release/BENCH_wallclock_smoke.json
-build-release/bench/flow_scaling --quick --json \
-    build-release/BENCH_flow_scaling_smoke.json
-build-release/bench/fault_recovery --quick --json \
-    build-release/BENCH_fault_recovery_smoke.json
-build-release/bench/latency_profile --quick --json \
-    build-release/BENCH_latency_smoke.json
-build-release/bench/offload_sweep --quick --json \
-    build-release/BENCH_offload_smoke.json
-build-release/bench/workload --quick --json \
-    build-release/BENCH_workload_smoke.json
-build-release/bench/overload --quick --json \
-    build-release/BENCH_overload_smoke.json
-
 # The benchmark (perfbench/, driven by BENCHMARK.json) compiles its own copy
 # of the library against the testbed names; its tests (~1 min at quick
 # scale) fail when a library change breaks that build or its output contract.
 python3 perfbench/test_perfbench.py
 
-# Schema validation: every benchmark artifact — committed or freshly emitted
-# by the smoke runs above — must carry the versioned-schema marker so
-# downstream consumers can detect layout changes.
-for f in BENCH_*.json build-release/BENCH_*.json; do
+# Schema validation: every benchmark record — committed, or emitted by the
+# Release ctest's bench_*_smoke runs — must carry the versioned-schema marker
+# so downstream consumers can detect layout changes.
+for f in BENCH_*.json build-release/bench/BENCH_*_smoke.json; do
     [ -e "$f" ] || continue
     grep -q '"schema_version"' "$f" || {
         echo "ci: $f is missing schema_version" >&2

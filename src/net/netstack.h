@@ -114,7 +114,8 @@ class NetStack {
   // the full-tuple fallback probe the table per candidate. Returns 0 (never
   // a valid ephemeral port) when every tuple toward (faddr, fport) is in use
   // — counted as eph_port_exhausted; callers surface it as an
-  // EADDRNOTAVAIL-style connect failure.
+  // EADDRNOTAVAIL-style connect failure. The returned port is reserved only
+  // once tcp_bind binds it: two calls before that may return the same port.
   [[nodiscard]] std::uint16_t alloc_ephemeral_port(IpAddr laddr, IpAddr faddr,
                                                    std::uint16_t fport);
 

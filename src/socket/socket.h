@@ -64,9 +64,8 @@ class Socket final : public net::TcpCallbacks, public net::UdpSocketIface {
   Socket& operator=(const Socket&) = delete;
 
   // ------------------------------------------------------------------- TCP
-  // `lport` 0 lets the stack pick an ephemeral port; the wload shim passes
-  // an explicitly pre-allocated one so exhaustion is distinguishable from
-  // an unreachable/refusing peer.
+  // `lport` 0 lets the stack pick an ephemeral port and bind it in the same
+  // step; if none is free, connect fails with tcp().key().lport still 0.
   sim::Task<bool> connect(ProcCtx& p, net::IpAddr addr, std::uint16_t port,
                           std::uint16_t lport = 0);
   void listen(std::uint16_t port);

@@ -89,24 +89,20 @@ sim::Task<int> Shim::wconnect(int fd, net::IpAddr addr, std::uint16_t port) {
   if (e->sock || e->lst) co_return W_EINVAL;
   ++stats_.connects;
 
-  // Resolve the local port up front so "no tuple left" is distinguishable
-  // from a peer that refused. The allocator only advances its rotor, so two
-  // shim processes pre-allocating concurrently still get distinct ports.
-  std::uint16_t lport = e->bound_port;
-  auto& stack = host_.stack();
-  if (lport == 0) {
-    lport = stack.alloc_ephemeral_port(stack.source_addr_for(addr), addr, port);
-    if (lport == 0) {
+  // An unbound fd lets the connection allocate its ephemeral port and bind
+  // the tuple in one step: a port the allocator returns is reserved only
+  // once bound, so allocating here, before connect's syscall cost has been
+  // paid, would hand a concurrent connect the same port. A failed connect
+  // that never got a local port found no free tuple.
+  auto s = std::make_unique<socket::Socket>(
+      host_.stack(), socket::Socket::Proto::kTcp, opts_.socket);
+  auto ctx = proc_->ctx();
+  const bool ok = co_await s->connect(ctx, addr, port, e->bound_port);
+  if (!ok) {
+    if (s->tcp().key().lport == 0) {
       ++stats_.connect_eaddrnotavail;
       co_return W_EADDRNOTAVAIL;
     }
-  }
-
-  auto s = std::make_unique<socket::Socket>(stack, socket::Socket::Proto::kTcp,
-                                            opts_.socket);
-  auto ctx = proc_->ctx();
-  const bool ok = co_await s->connect(ctx, addr, port, lport);
-  if (!ok) {
     ++stats_.connect_refused;
     co_return W_ECONNREFUSED;
   }

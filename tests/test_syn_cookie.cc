@@ -141,10 +141,16 @@ TEST(SynCookieFlood, HundredThousandSpoofedSynsCostNothing) {
   const std::size_t pool_base = pool.in_use();
   const std::size_t demux_base = stack.tcp_demux().size();
 
+  // Each transport_input completes synchronously, and at -O0 a completed
+  // co_await is not a tail call, so a flood of them nests one frame per
+  // segment; yielding to the event queue every kYieldEvery segments bounds
+  // the depth.
+  constexpr std::size_t kYieldEvery = 1024;
   bool done = false;
   auto flood = [&]() -> sim::Task<void> {
     std::mt19937_64 rng(0xf100d);
     for (std::size_t i = 0; i < kSyns; ++i) {
+      if (i % kYieldEvery == kYieldEvery - 1) co_await sim::delay(tb.sim, 0);
       // Spoofed, unroutable source: the SYN|ACK (embryonic or cookie) is
       // dropped at the IP layer, exactly like a real flood's reflections.
       const IpAddr src = make_ip(172, 16, (i >> 8) & 0xff, i & 0xff);
@@ -183,6 +189,7 @@ TEST(SynCookieFlood, HundredThousandSpoofedSynsCostNothing) {
   auto ack_flood = [&]() -> sim::Task<void> {
     std::mt19937_64 rng(0xacc5);
     for (std::size_t i = 0; i < kAcks; ++i) {
+      if (i % kYieldEvery == kYieldEvery - 1) co_await sim::delay(tb.sim, 0);
       const IpAddr src = make_ip(172, 17, (i >> 8) & 0xff, i & 0xff);
       TcpHeader th;
       th.src_port = static_cast<std::uint16_t>(1024 + (rng() % 60000));
@@ -240,6 +247,7 @@ TEST(SynCookieFlood, HundredThousandSpoofedSynsCostNothing) {
   sim::spawn(server());
   sim::spawn(client());
   ASSERT_TRUE(tb.run_until_done(served, tb.sim.now() + 300 * sim::kSecond));
+  tb.sim.run();  // drain, so no suspended process outlives the testbed
 }
 
 TEST(SynCookieFlood, LegitClientCompletesThroughCookiePath) {
@@ -298,6 +306,7 @@ TEST(SynCookieFlood, LegitClientCompletesThroughCookiePath) {
   EXPECT_GE(st.syn_cookies_sent, 1u);
   EXPECT_GE(st.syn_cookies_accepted, 1u);
   EXPECT_EQ(st.syn_cookies_rejected, 0u);
+  tb.sim.run();  // drain, so no suspended process outlives the testbed
 }
 
 }  // namespace

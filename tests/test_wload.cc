@@ -197,6 +197,54 @@ TEST(Wload, EphemeralPortExhaustionIsAnError) {
   EXPECT_NE(stack.alloc_ephemeral_port(laddr, core::Testbed::kIpB, 9999), 0);
 }
 
+TEST(Wload, ConcurrentConnectsNeverShareTheLastFreeTuple) {
+  core::Testbed tb;
+  auto& stack = tb.a->stack();
+  const net::IpAddr laddr = stack.source_addr_for(core::Testbed::kIpB);
+
+  // Occupy every ephemeral tuple toward the service but one, as in
+  // EphemeralPortExhaustionIsAnError.
+  constexpr std::uint16_t kFree = 40000;
+  socket::Socket placeholder(stack, socket::Socket::Proto::kTcp);
+  const auto taken = [&](std::uint32_t p) {
+    return net::ConnKey{laddr, static_cast<std::uint16_t>(p),
+                        core::Testbed::kIpB, 9999};
+  };
+  for (std::uint32_t p = 10000; p < 65536; ++p)
+    if (p != kFree) stack.tcp_bind(taken(p), &placeholder.tcp());
+
+  wload::Shim sa(*tb.a);
+  wload::Shim sb(*tb.b);
+  const int lfd = sb.wsocket();
+  ASSERT_EQ(sb.wbind(lfd, 9999), 0);
+  ASSERT_EQ(sb.wlisten(lfd, 4), 0);
+
+  // Two connects start in the same tick. The free port is reserved only
+  // once bound, so exactly one connect may get it; the other finds no tuple
+  // left instead of binding the same one twice.
+  int rc[2] = {1, 1};
+  int finished = 0;
+  bool done = false;
+  auto conn = [&](int i) -> sim::Task<void> {
+    const int fd = sa.wsocket();
+    rc[i] = co_await sa.wconnect(fd, core::Testbed::kIpB, 9999);
+    co_await sa.wclose(fd);
+    done = ++finished == 2;
+  };
+  sim::spawn(conn(0));
+  sim::spawn(conn(1));
+  ASSERT_TRUE(tb.run_until_done(done, sim::kSecond));
+  EXPECT_EQ(rc[0] + rc[1], wload::W_EADDRNOTAVAIL);
+  EXPECT_TRUE(rc[0] == 0 || rc[1] == 0);
+  EXPECT_EQ(sa.stats().connect_eaddrnotavail, 1u);
+  EXPECT_EQ(sa.stats().connect_refused, 0u);
+  EXPECT_EQ(stack.stats().eph_port_exhausted, 1u);
+
+  for (std::uint32_t p = 10000; p < 65536; ++p)
+    if (p != kFree) stack.tcp_unbind(taken(p));
+  tb.sim.run();  // drain, so no suspended process outlives the testbed
+}
+
 wload::PopulationConfig small_population(std::uint64_t seed) {
   wload::PopulationConfig cfg;
   cfg.seed = seed;
