@@ -348,7 +348,7 @@ core::Json churn_json(const ChurnCell& c) {
   j.set("teardown_conns_per_sim_s", c.teardown_cps_sim);
   j.set("rss_baseline_kb", c.rss_baseline_kb);
   j.set("rss_idle_kb", c.rss_idle_kb);
-  j.set("idle_bytes_per_conn_pair", c.idle_bytes_per_conn_pair);
+  j.set("host_idle_bytes_per_conn_pair", c.idle_bytes_per_conn_pair);
   j.set("demux_live_idle", static_cast<std::uint64_t>(c.demux_live_idle));
   j.set("demux_max_probe", c.demux_max_probe);
   j.set("syn_cookies_sent", c.cookies_sent);

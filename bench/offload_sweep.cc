@@ -142,7 +142,7 @@ int main(int argc, char** argv) {
     row.set("off", cell_json(off));
     row.set("on", cell_json(on));
     row.set("sim_mbps_ratio", on.sim_mbps / off.sim_mbps);
-    row.set("wall_efficiency_ratio",
+    row.set("host_wall_efficiency_ratio",
             on.sim_mbps_per_wall_s / off.sim_mbps_per_wall_s);
     jmtu.push_back(std::move(row));
   }
@@ -167,7 +167,7 @@ int main(int argc, char** argv) {
   // The wallclock headline: host cost of simulating the same transfer at the
   // smallest MTU. (Recorded, not gated: machine speed is not a correctness
   // property, so CI smoke runs never fail on a slow or noisy host.)
-  out.set("small_mtu_offload_wins_wallclock", small_mtu_wins);
+  out.set("host_small_mtu_offload_wins_wallclock", small_mtu_wins);
   out.set("all_ok", all_ok);
   if (!small_mtu_wins)
     std::printf("\nwarning: offload-on did not beat off in sim-Mb/s per "

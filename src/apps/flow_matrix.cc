@@ -62,12 +62,8 @@ sim::Task<void> flow_receiver(sim::Simulator& sim, const FlowMatrixConfig& cfg,
       if (cfg.verify_data) {
         // Each sender loops over one pattern-filled write buffer, so stream
         // position p carries pattern byte (p mod write_size) of its seed.
-        auto v = buf.view();
-        for (std::size_t k = 0; k < n; ++k) {
-          const auto expect =
-              mem::UserBuffer::pattern_byte(seed, (pos + k) % cfg.write_size);
-          if (v[k] != expect) ++fs.data_errors;
-        }
+        fs.data_errors += mem::UserBuffer::count_mismatches(
+            buf.view().first(n), seed, pos, cfg.write_size);
       }
       pos += n;
       fs.received = pos;

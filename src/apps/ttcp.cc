@@ -36,12 +36,8 @@ sim::Task<void> receiver(Testbed& tb, const TtcpConfig& cfg, socket::Socket& soc
     if (cfg.verify_data) {
       // The sender loops over one pattern-filled buffer, so stream position
       // p carries pattern byte (p mod write_size).
-      auto v = buf.view();
-      for (std::size_t i = 0; i < n; ++i) {
-        const auto expect = mem::UserBuffer::pattern_byte(
-            cfg.pattern_seed, (pos + i) % cfg.write_size);
-        if (v[i] != expect) ++sh.data_errors;
-      }
+      sh.data_errors += mem::UserBuffer::count_mismatches(
+          buf.view().first(n), cfg.pattern_seed, pos, cfg.write_size);
     }
     pos += n;
     sh.received = pos;

@@ -36,10 +36,8 @@ std::size_t verify_pattern_chain(const Mbuf* m, std::uint32_t seed,
   std::size_t errors = 0;
   std::size_t pos = stream_pos;
   for (; m != nullptr; m = m->next) {
-    auto sp = m->span();
-    for (std::size_t i = 0; i < sp.size(); ++i) {
-      if (sp[i] != mem::UserBuffer::pattern_byte(seed, pos + i)) ++errors;
-    }
+    const auto sp = m->span();
+    errors += mem::UserBuffer::count_mismatches(sp, seed, pos);
     pos += sp.size();
   }
   return errors;

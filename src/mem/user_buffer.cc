@@ -1,14 +1,28 @@
 #include "mem/user_buffer.h"
 
+#include <algorithm>
+#include <cassert>
+
 namespace nectar::mem {
 
-std::byte UserBuffer::pattern_byte(std::uint32_t seed, std::size_t pos) noexcept {
-  // Cheap position-mixing hash; must be fast since tests fill megabytes.
-  std::uint64_t x = (static_cast<std::uint64_t>(seed) << 32) ^ pos;
-  x ^= x >> 33;
-  x *= 0xff51afd7ed558ccdULL;
-  x ^= x >> 33;
-  return static_cast<std::byte>(x & 0xff);
+std::size_t UserBuffer::count_mismatches(std::span<const std::byte> data,
+                                         std::uint32_t seed,
+                                         std::size_t stream_pos,
+                                         std::size_t period) noexcept {
+  assert(period > 0);
+  std::size_t errors = 0;
+  std::size_t pos = stream_pos % period;
+  const std::byte* p = data.data();
+  std::size_t left = data.size();
+  while (left > 0) {
+    const std::size_t run = std::min(left, period - pos);
+    for (std::size_t i = 0; i < run; ++i)
+      errors += p[i] != pattern_byte(seed, pos + i) ? 1 : 0;
+    p += run;
+    left -= run;
+    pos = 0;
+  }
+  return errors;
 }
 
 void UserBuffer::fill_pattern(std::uint32_t seed) {

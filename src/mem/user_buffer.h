@@ -6,6 +6,7 @@
 // bytes that arrive are the bytes that were sent.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 
@@ -47,8 +48,26 @@ class UserBuffer {
                                            std::size_t len,
                                            std::size_t stream_pos) const;
 
-  // The pattern byte at absolute stream position `pos` for `seed`.
-  [[nodiscard]] static std::byte pattern_byte(std::uint32_t seed, std::size_t pos) noexcept;
+  // The pattern byte at absolute stream position `pos` for `seed`. Inline:
+  // every verified byte of a transfer goes through it.
+  [[nodiscard]] static std::byte pattern_byte(std::uint32_t seed,
+                                              std::size_t pos) noexcept {
+    // Cheap position-mixing hash.
+    std::uint64_t x = (static_cast<std::uint64_t>(seed) << 32) ^ pos;
+    x ^= x >> 33;
+    x *= 0xff51afd7ed558ccdULL;
+    x ^= x >> 33;
+    return static_cast<std::byte>(x & 0xff);
+  }
+
+  // Number of bytes of `data` that differ from the pattern for `seed`, where
+  // data[i] is expected to hold pattern byte (stream_pos + i) mod `period`
+  // (a sender looping over one `period`-byte pattern buffer; SIZE_MAX for a
+  // stream that never wraps). Walks the span in runs that do not wrap, so
+  // there is no division per byte. `period` must be non-zero.
+  [[nodiscard]] static std::size_t count_mismatches(
+      std::span<const std::byte> data, std::uint32_t seed,
+      std::size_t stream_pos, std::size_t period = SIZE_MAX) noexcept;
 
   [[nodiscard]] Uio as_uio(std::size_t off = 0, std::size_t len = SIZE_MAX);
 

@@ -44,6 +44,7 @@ ParallelEngine::ParallelEngine(std::size_t num_shards, Duration lookahead,
   shards_.reserve(num_shards);
   for (std::size_t s = 0; s < num_shards; ++s)
     shards_.push_back(std::make_unique<Shard>(s, global_seed, num_shards));
+  next_.assign(num_shards, Simulator::kNoEvent);
 }
 
 void ParallelEngine::set_workers(std::size_t n) noexcept {
@@ -56,46 +57,57 @@ void ParallelEngine::post(std::size_t src, std::size_t dst, Time t, SmallFn fn) 
   // for windows after its own.
   assert(!running_ || t >= window_end_);
   Shard& s = *shards_[src];
-  s.outbox[dst].push_back(ShardMsg{t, std::move(fn)});
+  auto& box = s.outbox[dst];
+  if (box.empty()) s.touched.push_back(dst);
+  box.push_back(ShardMsg{t, std::move(fn)});
   ++s.posts_out;
 }
 
 void ParallelEngine::exec_window(Shard& sh) {
+  // Last epoch's drain has read this shard's touched list; posts start afresh.
+  sh.touched.clear();
+  Time& next = next_[sh.id];
+  // Idle shard: nothing due in this window, so it is not run and its clock
+  // lags until the run's final catch-up.
+  if (next >= window_end_) return;
   const std::uint64_t before = sh.sim.events_processed();
   // Events at exactly window_end_ belong to the next window.
   sh.sim.run_until(window_end_ - 1);
   if (sh.sim.events_processed() != before) ++sh.busy_epochs;
+  next = sh.sim.next_time();
+  sh.max_pending = std::max(sh.max_pending, sh.sim.pending());
 }
 
-void ParallelEngine::drain_inboxes(Shard& dst) {
+void ParallelEngine::drain_as(std::size_t w, std::size_t nw) {
   // Fixed merge order — ascending source shard, post order within a source —
-  // so the destination heap's insertion-order tie-break is schedule-invariant.
-  for (auto& src : shards_) {
-    auto& box = src->outbox[dst.id];
-    if (box.empty()) continue;
-    for (ShardMsg& m : box) {
-      dst.sim.at(m.t, std::move(m.fn));
-      ++dst.posts_in;
+  // so each destination heap's insertion-order tie-break is schedule-
+  // invariant. Only destinations some source posted to are visited, so the
+  // cost is O(sources + messages), not O(sources x destinations).
+  for (const auto& src : shards_) {
+    for (const std::size_t d : src->touched) {
+      if (d % nw != w) continue;
+      Shard& dst = *shards_[d];
+      auto& box = src->outbox[d];
+      for (ShardMsg& m : box) {
+        next_[d] = std::min(next_[d], m.t);
+        dst.sim.at(m.t, std::move(m.fn));
+      }
+      dst.posts_in += box.size();
+      box.clear();
+      dst.max_pending = std::max(dst.max_pending, dst.sim.pending());
     }
-    box.clear();
   }
 }
 
-Time ParallelEngine::min_next_time() {
-  Time next = Simulator::kNoEvent;
-  for (auto& sh : shards_) {
-    sh->max_pending = std::max(sh->max_pending, sh->sim.pending());
-    next = std::min(next, sh->sim.next_time());
-  }
-  return next;
+Time ParallelEngine::min_next_time() const {
+  return *std::min_element(next_.begin(), next_.end());
 }
 
 void ParallelEngine::run_epoch_as(std::size_t w) {
   for (std::size_t s = w; s < shards_.size(); s += workers_)
     exec_window(*shards_[s]);
   barrier_.arrive_and_wait();
-  for (std::size_t s = w; s < shards_.size(); s += workers_)
-    drain_inboxes(*shards_[s]);
+  drain_as(w, workers_);
   barrier_.arrive_and_wait();
 }
 
@@ -117,8 +129,15 @@ void ParallelEngine::worker_main(std::size_t w) {
 bool ParallelEngine::run_until_done(const std::function<bool()>& done,
                                     Time deadline) {
   // Setup-time posts (topology wiring before the first run) sit in outboxes;
-  // surface them so the first window sees every event.
-  for (auto& sh : shards_) drain_inboxes(*sh);
+  // surface them so the first window sees every event. The coordinator may
+  // also have scheduled events directly, so every shard's earliest time is
+  // read afresh.
+  drain_as(0, 1);
+  for (auto& sh : shards_) {
+    sh->touched.clear();
+    next_[sh->id] = sh->sim.next_time();
+    sh->max_pending = std::max(sh->max_pending, sh->sim.pending());
+  }
 
   bool is_done = done && done();
   if (is_done) return true;
@@ -134,6 +153,7 @@ bool ParallelEngine::run_until_done(const std::function<bool()>& done,
   for (std::size_t w = 1; w < nw; ++w)
     pool.emplace_back([this, w] { worker_main(w); });
 
+  const std::uint64_t first_epoch = epochs_done_;
   for (;;) {
     const Time next = min_next_time();
     if (next == Simulator::kNoEvent || next > deadline) break;
@@ -154,6 +174,10 @@ bool ParallelEngine::run_until_done(const std::function<bool()>& done,
   epoch_.fetch_add(1, std::memory_order_release);
   for (auto& t : pool) t.join();
   running_ = false;
+  // Skipped shards' clocks lag. Every shard's clock ends the run at the last
+  // window's end - 1, as if every shard had run every epoch.
+  if (epochs_done_ != first_epoch)
+    for (auto& sh : shards_) sh->sim.run_until(window_end_ - 1);
   return is_done;
 }
 

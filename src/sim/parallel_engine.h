@@ -18,7 +18,15 @@
 //   2. Shards never share mutable state; everything crosses via post().
 //   3. Inbox drains are merged in a fixed order — ascending source shard id,
 //      post order within a source — so the destination queue's insertion-
-//      order tie-break (its `seq`) is schedule-invariant.
+//      order tie-break (its `seq`) is schedule-invariant. Each source keeps a
+//      `touched` list of the destinations it posted to in the epoch, so the
+//      drain walks sources in id order and visits only those outboxes.
+// Cost per epoch is in proportion to the work, not to the shard count
+// squared: the engine keeps every shard's earliest pending time, and a shard
+// with nothing due before the window end is skipped. A skipped shard's state
+// is exactly what running it would have left, except its clock, which lags;
+// the end of each run catches every clock up to the last window end, so
+// sim(s).now() after a run reads as if every shard had run every epoch.
 // The 1-worker run of this engine executes shards sequentially through the
 // identical epoch schedule and serves as the determinism oracle for N-worker
 // runs (tests/test_parallel.cc compares their Netstat/telemetry JSON
@@ -76,7 +84,8 @@ class ParallelEngine {
   // Run epochs until `done()` returns true (checked between epochs, where
   // every shard is quiescent), every queue drains, or the earliest pending
   // event lies beyond `deadline`. Returns the final done() value (false when
-  // no predicate was given).
+  // no predicate was given). `done` only reads: it must not schedule or
+  // cancel events, or the engine's per-shard earliest times go stale.
   bool run_until_done(const std::function<bool()>& done, Time deadline);
   bool run(Time deadline) { return run_until_done({}, deadline); }
 
@@ -110,13 +119,19 @@ class ParallelEngine {
   void worker_main(std::size_t w);
   void run_epoch_as(std::size_t w);
   void exec_window(Shard& sh);
-  void drain_inboxes(Shard& dst);
-  [[nodiscard]] Time min_next_time();
+  // Drain phase of worker `w` of `nw`: move every message posted this epoch
+  // to a shard that worker owns into the shard's queue.
+  void drain_as(std::size_t w, std::size_t nw);
+  [[nodiscard]] Time min_next_time() const;
 
   std::vector<std::unique_ptr<Shard>> shards_;
   Duration lookahead_;
   std::uint64_t seed_;
   std::size_t workers_ = 1;
+  // next_[s]: shard s's earliest pending event time (kNoEvent when empty).
+  // Written by s's owner after its exec and by its drain, read by the
+  // coordinator between epochs; the barriers order the two.
+  std::vector<Time> next_;
 
   // Epoch machinery. window_end_ is plain: it is written by the coordinator
   // only while every worker is parked between epochs, and the epoch_ bump

@@ -2,10 +2,12 @@
 // derived RNG stream, and the outboxes that carry cross-shard work.
 //
 // Ownership discipline (what makes the engine lock-free on the message path):
-// while an epoch's execution phase runs, a shard's Simulator, Rng, and
-// outboxes are touched only by the worker that owns the shard. During the
-// drain phase, outbox[dst] is read and cleared only by the worker that owns
-// `dst`. The engine's barriers separate the two phases, so no per-message
+// while an epoch's execution phase runs, a shard's Simulator, Rng, outboxes
+// and touched list are written only by the worker that owns the shard. During
+// the drain phase every worker reads every source's touched list, and
+// outbox[dst] is read and cleared only by the worker that owns `dst`; the
+// source's owner clears its touched list when the next execution phase
+// starts. The engine's barriers separate the phases, so no per-message
 // locking or atomics are needed — the happens-before edges come from the
 // barrier, exactly once per epoch instead of once per message.
 #pragma once
@@ -42,12 +44,16 @@ struct Shard {
   // outbox[dst]: messages this shard posted for `dst` in the current epoch,
   // in post order (== this shard's deterministic execution order).
   std::vector<std::vector<ShardMsg>> outbox;
+  // Destinations whose outbox this shard made non-empty this epoch, in first-
+  // post order: the drain visits only these, not every outbox.
+  std::vector<std::size_t> touched;
 
   // --- stats (single-writer: the owning worker, or the drain owner) --------
   std::uint64_t posts_out = 0;   // cross-shard messages sent
   std::uint64_t posts_in = 0;    // cross-shard messages received
   std::uint64_t busy_epochs = 0; // epochs in which this shard ran >= 1 event
-  std::size_t max_pending = 0;   // queue-depth high water, sampled at epochs
+  std::size_t max_pending = 0;   // queue-depth high water, sampled after
+                                 // each exec and drain that changes it
 };
 
 }  // namespace nectar::sim

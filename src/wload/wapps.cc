@@ -247,14 +247,10 @@ sim::Task<void> http_fetch(Shim& sh, net::IpAddr server, std::uint16_t port,
       }
       const std::size_t body_n = static_cast<std::size_t>(n) - body_off;
       if (file >= 0) {
-        auto v = buf.view().subspan(body_off, body_n);
-        for (std::size_t i = 0; i < body_n; ++i) {
-          if (v[i] != mem::UserBuffer::pattern_byte(
-                          static_cast<std::uint32_t>(100 + file),
-                          static_cast<std::size_t>(body_seen) + i)) {
-            ++body_bad;
-          }
-        }
+        body_bad += mem::UserBuffer::count_mismatches(
+            buf.view().subspan(body_off, body_n),
+            static_cast<std::uint32_t>(100 + file),
+            static_cast<std::size_t>(body_seen));
       }
       body_seen += body_n;
     }

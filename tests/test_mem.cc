@@ -2,6 +2,10 @@
 // model, and the lazy-unpin pin cache.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <vector>
+
 #include "mem/pin_cache.h"
 #include "mem/user_buffer.h"
 #include "tests/test_util.h"
@@ -95,6 +99,65 @@ TEST(UserBuffer, PatternFillVerify) {
   EXPECT_NE(buf.verify_pattern(5, 0, 4096, 1), SIZE_MAX);   // wrong position
   buf.view()[100] ^= std::byte{1};
   EXPECT_EQ(buf.verify_pattern(5, 0, 4096, 0), 100u);  // locates the error
+}
+
+// The reference count_mismatches must match: one modulo per byte.
+std::size_t naive_mismatches(std::span<const std::byte> data, std::uint32_t seed,
+                             std::size_t stream_pos, std::size_t period) {
+  std::size_t errors = 0;
+  for (std::size_t i = 0; i < data.size(); ++i)
+    if (data[i] != UserBuffer::pattern_byte(seed, (stream_pos + i) % period))
+      ++errors;
+  return errors;
+}
+
+std::vector<std::byte> pattern_span(std::uint32_t seed, std::size_t stream_pos,
+                                    std::size_t period, std::size_t n) {
+  std::vector<std::byte> v(n);
+  for (std::size_t i = 0; i < n; ++i)
+    v[i] = UserBuffer::pattern_byte(seed, (stream_pos + i) % period);
+  return v;
+}
+
+TEST(UserBuffer, CountMismatchesMatchesNaiveLoop) {
+  std::mt19937_64 rng(0x5eed);
+  for (const std::size_t period : {std::size_t{1024}, std::size_t{64 * 1024}, SIZE_MAX}) {
+    // Starts just before, exactly on, and just after a wrap, then random ones.
+    const std::size_t wrap = period == SIZE_MAX ? std::size_t{1} << 40 : 3 * period;
+    std::vector<std::size_t> starts = {wrap - 7, wrap, wrap + 5};
+    for (int i = 0; i < 6; ++i) starts.push_back(rng() % (wrap * 2));
+    for (const std::size_t start : starts) {
+      const auto seed = static_cast<std::uint32_t>(rng());
+      const std::size_t n = 1 + rng() % (2 * std::min<std::size_t>(period, 96 * 1024));
+      auto data = pattern_span(seed, start, period, n);
+      const std::size_t flips = rng() % 16;
+      for (std::size_t f = 0; f < flips; ++f)
+        data[rng() % n] ^= static_cast<std::byte>(1 + rng() % 255);
+      EXPECT_EQ(UserBuffer::count_mismatches(data, seed, start, period),
+                naive_mismatches(data, seed, start, period))
+          << "period " << period << " start " << start << " n " << n;
+    }
+  }
+}
+
+TEST(UserBuffer, CountMismatchesCountsInjectedCorruptionExactly) {
+  const std::uint32_t seed = 42;
+  const std::size_t period = 1024;
+  const std::size_t start = 5 * period - 10;  // wraps after 10 bytes
+  auto data = pattern_span(seed, start, period, 3000);
+  EXPECT_EQ(UserBuffer::count_mismatches(data, seed, start, period), 0u);
+  // The last byte before the wrap, the first byte after it, and two more.
+  for (const std::size_t i : {std::size_t{9}, std::size_t{10}, std::size_t{11},
+                              std::size_t{10 + period}})
+    data[i] ^= std::byte{0x80};
+  EXPECT_EQ(UserBuffer::count_mismatches(data, seed, start, period), 4u);
+  // The same bytes read as a stream that never wraps are almost all wrong.
+  EXPECT_GT(UserBuffer::count_mismatches(data, seed, start), 2000u);
+}
+
+TEST(UserBuffer, CountMismatchesOfEmptySpanIsZero) {
+  EXPECT_EQ(UserBuffer::count_mismatches({}, 1, 0, 1024), 0u);
+  EXPECT_EQ(UserBuffer::count_mismatches({}, 1, 1023), 0u);
 }
 
 struct VmFixture : ::testing::Test {

@@ -301,6 +301,12 @@ TEST(OverloadEndToEnd, EcnMarksEchoAndHalveTheWindow) {
   // At most one cut per window in flight: never more cuts than ECE ACKs
   // (equality is legal when ECE episodes arrive more than a window apart).
   EXPECT_LE(c.tcp().stats().ecn_cwnd_cuts, c.tcp().stats().ecn_ece_rcvd);
+  // `done` flips while the client is still closing, with mbufs still owned
+  // by in-flight DMA completions. Let the teardown finish so nothing is
+  // abandoned with the testbed.
+  tb.sim.run_until(tb.sim.now() + 5 * sim::kSecond);
+  EXPECT_EQ(tb.a->stack().env().pool.in_use(), 0);
+  EXPECT_EQ(tb.b->stack().env().pool.in_use(), 0);
 }
 
 TEST(OverloadEndToEnd, AdmissionGateDefersSyns) {

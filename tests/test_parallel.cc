@@ -131,6 +131,68 @@ TEST(ParallelEngine, CrossShardPostsMergeInSourceOrder) {
   }
 }
 
+TEST(ParallelEngine, InEpochPostsMergeInSourceOrder) {
+  // Shards 1..3 each run two events at t0, in one epoch, and each event posts
+  // to shard 0 for the same instant. The sources' events were scheduled in
+  // the order 3, 1, 2, 3, 1, 2, so the posts interleave across sources in any
+  // schedule; the drain must still deliver (src 1, src 2, src 3) x (post
+  // order) at every worker count.
+  for (std::size_t workers : {1u, 2u, 3u}) {
+    const sim::Duration la = sim::usec(5);
+    ParallelEngine eng(4, la, 7);
+    eng.set_workers(workers);
+    std::vector<int> order;
+    const sim::Time t0 = sim::usec(10);
+    for (int k = 0; k < 2; ++k) {
+      for (std::size_t src : {3u, 1u, 2u}) {
+        eng.sim(src).at(t0, [&eng, &order, src, k, t0, la] {
+          const int tag = static_cast<int>(src) * 10 + k;
+          eng.post(src, 0, t0 + la, [&order, tag] { order.push_back(tag); });
+        });
+      }
+    }
+    eng.run(sim::msec(1));
+    EXPECT_EQ(order, (std::vector<int>{10, 11, 20, 21, 30, 31}))
+        << workers << " workers";
+    std::uint64_t out = 0;
+    for (std::size_t s = 0; s < eng.num_shards(); ++s)
+      out += eng.shard(s).posts_out;
+    EXPECT_EQ(eng.shard(0).posts_in, out) << workers << " workers";
+    EXPECT_EQ(out, 6u);
+    EXPECT_EQ(eng.epochs(), 2u);  // the posting epoch, then the delivery
+  }
+}
+
+TEST(ParallelEngine, IdleShardClockCatchesUpAtRunEnd) {
+  // Shard 1 runs a chain of events; shards 0 and 2 have none, so every epoch
+  // skips them. After the run every clock reads the last window's end - 1,
+  // and a coordinator-side after(d) on an idle shard fires d past that.
+  for (std::size_t workers : {1u, 2u}) {
+    const sim::Duration la = sim::usec(10);
+    ParallelEngine eng(3, la, 7);
+    eng.set_workers(workers);
+    sim::Time last = 0;
+    for (int i = 1; i <= 5; ++i) {
+      last = sim::usec(100 * i);
+      eng.sim(1).at(last, [] {});
+    }
+    eng.run(sim::msec(10));
+    EXPECT_EQ(eng.epochs(), 5u);
+    const sim::Time end = last + la - 1;  // last window's end - 1
+    for (std::size_t s = 0; s < eng.num_shards(); ++s)
+      EXPECT_EQ(eng.sim(s).now(), end) << "shard " << s << ", " << workers
+                                       << " workers";
+    EXPECT_EQ(eng.shard(2).busy_epochs, 0u);
+    EXPECT_EQ(eng.shard(1).busy_epochs, 5u);
+
+    const sim::Duration d = sim::usec(3);
+    sim::Time fired = -1;
+    eng.sim(2).after(d, [&eng, &fired] { fired = eng.sim(2).now(); });
+    eng.run(sim::msec(10));
+    EXPECT_EQ(fired, end + d) << workers << " workers";
+  }
+}
+
 TEST(ParallelEngine, RelayAcrossShardsRespectsLookahead) {
   // A ping-pong relay: each hop re-posts one lookahead later. Checks that
   // multi-epoch chains execute and the clock tracks the chain.
