@@ -84,10 +84,9 @@ struct ClassFairness {
 std::vector<ClassFairness> class_fairness(const core::MultiTestbed& tb) {
   std::map<std::uint32_t, std::map<std::uint32_t, std::uint64_t>> by_class;
   const auto tally = [&](const auto& q) {
-    for (const auto& [flow, fs] : q.flow_stats()) {
-      if (fs.pops == 0) continue;
-      by_class[q.flow_weight(flow)][flow] += fs.pops;
-    }
+    q.for_each_flow([&](std::uint32_t flow, const auto& fs) {
+      if (fs.pops > 0) by_class[q.flow_weight(flow)][flow] += fs.pops;
+    });
   };
   for (drivers::CabDriver* drv : tb.cab_servers) {
     tally(drv->device().sdma().arb());

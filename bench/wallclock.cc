@@ -1,7 +1,8 @@
 // Wall-clock perf harness: unlike the paper-figure benches (which report
 // *simulated* time), this binary measures how fast the simulator itself runs
 // on the host — events/sec through the event core, mbuf get/free ops/sec,
-// checksum GB/s, and end-to-end ttcp simulated-Mb/s per wall-clock second.
+// checksum GB/s, CAB arbiter push+pop/s, ephemeral-port allocations with
+// every port bound, and end-to-end ttcp simulated-Mb/s per wall-clock second.
 // It also counts real heap allocations (via a local operator-new hook) so the
 // steady-state allocation behaviour of the hot paths is a measured number,
 // not a claim. Emits BENCH_wallclock.json with --json.
@@ -18,6 +19,8 @@
 #include <vector>
 
 #include "apps/ttcp.h"
+#include "cab/arbiter.h"
+#include "cab/sdma.h"
 #include "checksum/internet_checksum.h"
 #include "checksum/simd.h"
 #include "core/json.h"
@@ -30,6 +33,7 @@
 #include "sim/event_queue.h"
 #include "sim/parallel_engine.h"
 #include "sim/rng.h"
+#include "socket/socket.h"
 #include "telemetry/telemetry.h"
 
 // --- heap allocation counter -------------------------------------------------
@@ -337,6 +341,84 @@ DemuxBenchResult bench_demux(std::uint64_t iters) {
   return r;
 }
 
+// --- CAB DMA arbiter ---------------------------------------------------------
+// The SDMA command queue under each policy with 64 backlogged flows, one
+// request each (the engine's depth): every op pops one request, draining its
+// flow, and pushes the flow's next one, so each op also takes a flow out of
+// and back into the backlogged set. The arbiter's contract is zero heap
+// allocations per op in this steady state.
+
+struct ArbiterCell {
+  cab::ArbPolicy policy = cab::ArbPolicy::kFifo;
+  double ops_per_sec = 0;  // one push + one pop
+  double heap_allocs_per_op = 0;
+};
+
+ArbiterCell bench_arbiter(cab::ArbPolicy policy, std::uint64_t iters) {
+  constexpr std::uint32_t kFlows = 64;
+  cab::ArbQueue<cab::SdmaRequest> q(policy);
+  for (std::uint32_t f = 1; f <= kFlows; ++f) {
+    q.set_flow_weight(f, 1 + f % 4);
+    cab::SdmaRequest r;
+    r.flow = f;
+    q.push(std::move(r));
+  }
+  // Warm-up: let the slab and the backlogged set reach their high water.
+  for (int i = 0; i < 1024; ++i) q.push(q.pop());
+  ArbiterCell c;
+  c.policy = policy;
+  std::uint64_t sink = 0;
+  const std::uint64_t heap0 = g_heap_allocs;
+  const auto t0 = Clock::now();
+  for (std::uint64_t i = 0; i < iters; ++i) {
+    cab::SdmaRequest r = q.pop();
+    sink += r.flow;
+    q.push(std::move(r));
+  }
+  const double w = elapsed_s(t0);
+  keep(static_cast<std::uint32_t>(sink));
+  c.ops_per_sec = static_cast<double>(iters) / w;
+  c.heap_allocs_per_op =
+      static_cast<double>(g_heap_allocs - heap0) / static_cast<double>(iters);
+  return c;
+}
+
+// --- ephemeral-port allocator ------------------------------------------------
+// The allocator when every one of the 55 536 ephemeral ports carries a
+// binding (toward one service): the fast pass finds no vacancy and the
+// full-tuple fallback answers for a second service at its first candidate.
+
+struct PortAllocResult {
+  std::uint64_t bound_ports = 0;
+  double ns_per_call = 0;
+};
+
+PortAllocResult bench_port_alloc(std::uint64_t iters) {
+  core::Testbed tb;
+  net::NetStack& stack = tb.a->stack();
+  const net::IpAddr laddr = stack.source_addr_for(core::Testbed::kIpB);
+  // One idle socket's connection stands in for every binding: the allocator
+  // consults only the tables.
+  socket::Socket placeholder(stack, socket::Socket::Proto::kTcp);
+  PortAllocResult r;
+  for (std::uint32_t p = 10000; p < 65536; ++p) {
+    stack.tcp_bind(net::ConnKey{laddr, static_cast<std::uint16_t>(p),
+                                core::Testbed::kIpB, 9999},
+                   &placeholder.tcp());
+    ++r.bound_ports;
+  }
+  std::uint64_t sink = 0;
+  const auto t0 = Clock::now();
+  for (std::uint64_t i = 0; i < iters; ++i)
+    sink += stack.alloc_ephemeral_port(laddr, core::Testbed::kIpB, 80);
+  r.ns_per_call = elapsed_s(t0) * 1e9 / static_cast<double>(iters);
+  keep(static_cast<std::uint32_t>(sink));
+  for (std::uint32_t p = 10000; p < 65536; ++p)
+    stack.tcp_unbind(net::ConnKey{laddr, static_cast<std::uint16_t>(p),
+                                  core::Testbed::kIpB, 9999});
+  return r;
+}
+
 // --- checksum ----------------------------------------------------------------
 
 struct CsumPoint {
@@ -563,6 +645,16 @@ int main(int argc, char** argv) {
   std::printf("demux std::map  : %10.0f lookups/s  (table %.2fx, %zu conns)\n",
               dx.map_lookups_per_sec, dx.speedup, dx.conns);
 
+  std::vector<ArbiterCell> arb;
+  for (const auto& e : cab::kArbPolicyNames) {
+    arb.push_back(bench_arbiter(e.policy, mbuf_iters));
+    std::printf("arbiter %-13s: %10.0f push+pop/s  (64 flows, %.2f heap allocs/op)\n",
+                e.name, arb.back().ops_per_sec, arb.back().heap_allocs_per_op);
+  }
+  const auto pa = bench_port_alloc(quick ? 20'000 : 200'000);
+  std::printf("port alloc      : %10.1f ns/call  (%llu ports bound)\n",
+              pa.ns_per_call, static_cast<unsigned long long>(pa.bound_ports));
+
   std::printf("checksum active : %s\n",
               checksum::impl_name(checksum::active_impl()));
   const auto cs = bench_checksum(quick);
@@ -626,6 +718,22 @@ int main(int argc, char** argv) {
   jx.set("map_lookups_per_sec", dx.map_lookups_per_sec);
   jx.set("speedup", dx.speedup);
   root.set("demux", std::move(jx));
+  core::Json jarb = core::Json::object();
+  jarb.set("flows", 64);
+  core::Json jac = core::Json::array();
+  for (const auto& c : arb) {
+    core::Json j = core::Json::object();
+    j.set("policy", cab::arb_policy_name(c.policy));
+    j.set("ops_per_sec", c.ops_per_sec);
+    j.set("heap_allocs_per_op", c.heap_allocs_per_op);
+    jac.push_back(std::move(j));
+  }
+  jarb.set("cells", std::move(jac));
+  root.set("arbiter", std::move(jarb));
+  core::Json jpa = core::Json::object();
+  jpa.set("bound_ports", pa.bound_ports);
+  jpa.set("ns_per_call", pa.ns_per_call);
+  root.set("port_alloc", std::move(jpa));
   root.set("checksum_active", checksum::impl_name(checksum::active_impl()));
   core::Json jc = core::Json::array();
   for (const auto& p : cs) {

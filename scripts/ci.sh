@@ -59,13 +59,15 @@ done
 # ECN hooks poll resource samplers (closures over pool/arbiter/network-memory
 # internals) from deep inside the send and SYN paths, and the ops console
 # holds host references across periodic coroutine ticks — both are fresh
-# aliasing surfaces.  The 10x flash-crowd soak stays out of this fast lane
+# aliasing surfaces.  The arbiter's differential test and the ephemeral-port
+# bitmap test ride along: the queue keeps requests in a slab recycled through
+# a free list, and the allocator's vacancy bitmap is indexed by port.  The 10x flash-crowd soak stays out of this fast lane
 # and runs under TSan below instead.
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=Debug \
       -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all"
 cmake --build build-asan -j"$jobs"
 ctest --test-dir build-asan --output-on-failure -j"$jobs" \
-      -R 'ConnTable|FlowMatrix|FlowSoak|flow_scaling|Fault|bench_fault_recovery|Telemetry|LogHistogram|PacketTraceDropped|bench_latency|Offload|TsoCutFuzz|bench_offload|TimerWheel|SynCookie|bench_churn|Wload|PacketTrace\.PcapRoundTrip|bench_workload|ArbPolicyNames|WeightedFair|OverloadManager|OverloadEndToEnd|OverloadNetstat|OpsConsole|bench_overload'
+      -R 'ConnTable|FlowMatrix|FlowSoak|flow_scaling|Fault|bench_fault_recovery|Telemetry|LogHistogram|PacketTraceDropped|bench_latency|Offload|TsoCutFuzz|bench_offload|TimerWheel|SynCookie|bench_churn|Wload|PacketTrace\.PcapRoundTrip|bench_workload|ArbPolicyNames|WeightedFair|ArbQueue|EphemeralPort|OverloadManager|OverloadEndToEnd|OverloadNetstat|OpsConsole|bench_overload'
 
 # ThreadSanitizer lane over the parallel sharded engine: the barrier,
 # epoch-publication, and outbox/drain handoffs are the only places the

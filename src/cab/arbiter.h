@@ -27,14 +27,26 @@
 //
 // R must expose a `std::uint32_t flow` member (0 = unattributed; flow 0 is
 // just another queue, so control traffic is arbitrated too).
+//
+// Cost. One record per flow id lives in a vector indexed by the id, so ids
+// should be dense (NetStack numbers them from 1 per host). Queued requests
+// are nodes of per-flow FIFOs in one slab with a free list, and the ids of
+// the backlogged flows are kept sorted in a vector no longer than the queue.
+// Once the slab and the vectors have grown to the host's high-water marks,
+// push and pop allocate nothing. No operation depends on how many flows
+// have ever existed: push is O(1), plus a sorted insert into the backlogged
+// set when a flow's queue refills from empty; pop is O(backlogged flows)
+// under kFifo and kWeightedFair and O(log) plus the erase of a drained flow
+// under kRoundRobin. The backlogged set is bounded by the command queue's
+// depth (64 for SDMA), so every pick stays small.
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <optional>
 #include <string_view>
+#include <vector>
 
 namespace nectar::cab {
 
@@ -77,38 +89,51 @@ class ArbQueue {
 
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
-  // Flows with at least one queued request right now.
-  [[nodiscard]] std::size_t flows_queued() const noexcept { return flows_.size(); }
 
   void push(R r) {
     const std::uint32_t flow = r.flow;
-    auto& fq = flows_[flow];
-    fq.push_back(Item{next_seq_++, std::move(r)});
+    Flow& f = flow_record(flow);
+    const std::uint32_t idx = take_item(std::move(r));
+    if (f.len == 0) {
+      f.head = idx;
+      backlogged_.insert(
+          std::lower_bound(backlogged_.begin(), backlogged_.end(), flow), flow);
+    } else {
+      items_[f.tail].next = idx;
+    }
+    f.tail = idx;
+    ++f.len;
     ++size_;
     ++stats_.pushes;
     stats_.max_depth = std::max(stats_.max_depth, size_);
-    stats_.max_flows = std::max<std::uint64_t>(stats_.max_flows, flows_.size());
-    FlowStats& fs = flow_stats_[flow];
-    ++fs.pushes;
-    fs.max_depth = std::max<std::uint64_t>(fs.max_depth, fq.size());
+    stats_.max_flows = std::max<std::uint64_t>(stats_.max_flows, backlogged_.size());
+    ++f.stats.pushes;
+    f.stats.max_depth = std::max<std::uint64_t>(f.stats.max_depth, f.len);
   }
 
   // Remove and return the next request under the current policy. Precondition:
   // !empty().
   R pop() {
-    typename FlowMap::iterator it;
+    std::size_t pos = 0;
     switch (policy_) {
-      case ArbPolicy::kRoundRobin: it = pick_round_robin(); break;
-      case ArbPolicy::kWeightedFair: it = pick_weighted(); break;
-      default: it = pick_fifo(); break;
+      case ArbPolicy::kRoundRobin: pos = next_after_last(); break;
+      case ArbPolicy::kWeightedFair: pos = pick_weighted(); break;
+      default: pos = pick_fifo(); break;
     }
-    R r = std::move(it->second.front().req);
-    it->second.pop_front();
-    last_flow_ = it->first;
-    ++flow_stats_[it->first].pops;
-    if (it->second.empty()) {
-      credits_.erase(it->first);  // drained flows forfeit residual credit
-      flows_.erase(it);
+    const std::uint32_t flow = backlogged_[pos];
+    Flow& f = flows_[flow];
+    const std::uint32_t idx = f.head;
+    Item& item = items_[idx];
+    R r = std::move(item.req);
+    f.head = item.next;
+    item.next = free_;
+    free_ = idx;
+    --f.len;
+    last_flow_ = flow;
+    ++f.stats.pops;
+    if (f.len == 0) {
+      f.credit = 0;  // drained flows forfeit residual credit
+      backlogged_.erase(backlogged_.begin() + static_cast<std::ptrdiff_t>(pos));
     }
     --size_;
     ++stats_.pops;
@@ -118,11 +143,10 @@ class ArbQueue {
   // Weighted-fair class weight for `flow` (>= 1; requests beyond the weight
   // wait for the next credit recharge). Ignored by kFifo/kRoundRobin.
   void set_flow_weight(std::uint32_t flow, std::uint32_t weight) {
-    weights_[flow] = std::max<std::uint32_t>(weight, 1);
+    flow_record(flow).weight = std::max<std::uint32_t>(weight, 1);
   }
   [[nodiscard]] std::uint32_t flow_weight(std::uint32_t flow) const noexcept {
-    auto it = weights_.find(flow);
-    return it == weights_.end() ? 1 : it->second;
+    return flow < flows_.size() ? flows_[flow].weight : 1;
   }
 
   struct Stats {
@@ -134,45 +158,87 @@ class ArbQueue {
   };
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
 
-  // Per-flow service accounting, keyed by flow id (deterministic order).
-  // Entries persist after a flow drains so post-run stats cover every flow
-  // that ever queued here.
+  // Per-flow service accounting. It persists after a flow drains so post-run
+  // stats cover every flow that ever queued here.
   struct FlowStats {
     std::uint64_t pushes = 0;
     std::uint64_t pops = 0;
     std::uint64_t max_depth = 0;  // high-water of this flow's own queue
   };
-  [[nodiscard]] const std::map<std::uint32_t, FlowStats>& flow_stats() const noexcept {
-    return flow_stats_;
+  // Calls fn(flow, const FlowStats&) for every flow that ever queued here
+  // (pushes > 0), in ascending flow id, so dumps stay deterministic.
+  template <typename Fn>
+  void for_each_flow(Fn&& fn) const {
+    for (std::size_t id = 0; id < flows_.size(); ++id) {
+      if (flows_[id].stats.pushes > 0)
+        fn(static_cast<std::uint32_t>(id), flows_[id].stats);
+    }
   }
   // Requests of `flow` queued right now.
   [[nodiscard]] std::size_t flow_depth(std::uint32_t flow) const noexcept {
-    auto it = flows_.find(flow);
-    return it == flows_.end() ? 0 : it->second.size();
+    return flow < flows_.size() ? flows_[flow].len : 0;
   }
 
  private:
+  static constexpr std::uint32_t kNil = ~std::uint32_t{0};
+
+  // A queued request: a node of its flow's FIFO in the item slab.
   struct Item {
     std::uint64_t seq;  // global arrival order
+    std::uint32_t next;  // next item of the same flow, or of the free list
     R req;
   };
-  using FlowMap = std::map<std::uint32_t, std::deque<Item>>;
+  // Everything the arbiter knows about one flow id.
+  struct Flow {
+    std::uint32_t head = kNil;  // oldest queued item (valid while len > 0)
+    std::uint32_t tail = kNil;  // newest queued item (valid while len > 0)
+    std::uint32_t len = 0;
+    std::uint32_t weight = 1;
+    std::uint32_t credit = 0;  // kWeightedFair; nonzero only while backlogged
+    FlowStats stats;
+  };
 
-  // Oldest request overall. O(flows queued); the command queue is bounded
-  // (depth 64), so this stays trivially small.
-  typename FlowMap::iterator pick_fifo() {
-    auto best = flows_.begin();
-    for (auto it = std::next(flows_.begin()); it != flows_.end(); ++it) {
-      if (it->second.front().seq < best->second.front().seq) best = it;
+  Flow& flow_record(std::uint32_t flow) {
+    if (flow >= flows_.size()) flows_.resize(std::size_t{flow} + 1);
+    return flows_[flow];
+  }
+
+  // Slab slot for a new request, reusing a freed one when there is one.
+  std::uint32_t take_item(R&& r) {
+    if (free_ != kNil) {
+      const std::uint32_t idx = free_;
+      Item& item = items_[idx];
+      free_ = item.next;
+      item.seq = next_seq_++;
+      item.next = kNil;
+      item.req = std::move(r);
+      return idx;
+    }
+    items_.push_back(Item{next_seq_++, kNil, std::move(r)});
+    return static_cast<std::uint32_t>(items_.size() - 1);
+  }
+
+  [[nodiscard]] std::uint64_t head_seq(std::uint32_t flow) const noexcept {
+    return items_[flows_[flow].head].seq;
+  }
+
+  // Oldest request overall: the least head seq over the backlogged flows.
+  std::size_t pick_fifo() const noexcept {
+    std::size_t best = 0;
+    for (std::size_t i = 1; i < backlogged_.size(); ++i) {
+      if (head_seq(backlogged_[i]) < head_seq(backlogged_[best])) best = i;
     }
     return best;
   }
 
-  // Next backlogged flow after the last one served, wrapping in flow-id order.
-  typename FlowMap::iterator pick_round_robin() {
-    auto it = flows_.upper_bound(last_flow_);
-    if (it == flows_.end()) it = flows_.begin();
-    return it;
+  // Position of the first backlogged flow after the last one served,
+  // wrapping in flow-id order: kRoundRobin's pick.
+  std::size_t next_after_last() const noexcept {
+    const auto it =
+        std::upper_bound(backlogged_.begin(), backlogged_.end(), last_flow_);
+    return it == backlogged_.end()
+               ? 0
+               : static_cast<std::size_t>(it - backlogged_.begin());
   }
 
   // Credit-based weighted round robin. Serve the first backlogged flow after
@@ -181,34 +247,37 @@ class ArbQueue {
   // weight and take the next flow in rotation. A flow that joins mid-round
   // starts at zero credit and waits for the recharge, so arrival timing
   // cannot buy extra service.
-  typename FlowMap::iterator pick_weighted() {
+  std::size_t pick_weighted() {
     for (int pass = 0; pass < 2; ++pass) {
-      auto it = flows_.upper_bound(last_flow_);
-      for (std::size_t n = 0; n < flows_.size(); ++n) {
-        if (it == flows_.end()) it = flows_.begin();
-        auto c = credits_.find(it->first);
-        if (c != credits_.end() && c->second > 0) {
-          --c->second;
-          return it;
+      std::size_t pos = next_after_last();
+      for (std::size_t n = 0; n < backlogged_.size(); ++n) {
+        if (pos == backlogged_.size()) pos = 0;
+        Flow& f = flows_[backlogged_[pos]];
+        if (f.credit > 0) {
+          --f.credit;
+          return pos;
         }
-        ++it;
+        ++pos;
       }
       // All backlogged flows are out of credit: recharge and rescan.
-      for (const auto& [flow, q] : flows_) credits_[flow] = flow_weight(flow);
+      for (const std::uint32_t flow : backlogged_)
+        flows_[flow].credit = flows_[flow].weight;
       ++stats_.credit_recharges;
     }
-    return flows_.begin();  // unreachable: recharge gives every flow credit
+    return 0;  // unreachable: recharge gives every flow credit
   }
 
   ArbPolicy policy_;
-  FlowMap flows_;
+  std::vector<Flow> flows_;  // indexed by flow id
+  std::vector<Item> items_;  // slab of queued (and freed) requests
+  std::uint32_t free_ = kNil;  // head of the slab's free list
+  // Ids of the flows with queued requests, ascending. At most one entry per
+  // queued request, so its length is bounded by the queue depth.
+  std::vector<std::uint32_t> backlogged_;
   std::size_t size_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint32_t last_flow_ = 0;
   Stats stats_;
-  std::map<std::uint32_t, FlowStats> flow_stats_;
-  std::map<std::uint32_t, std::uint32_t> weights_;  // absent = weight 1
-  std::map<std::uint32_t, std::uint64_t> credits_;  // backlogged flows only
 };
 
 }  // namespace nectar::cab

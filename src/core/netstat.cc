@@ -285,7 +285,8 @@ Json Netstat::json() const {
       c.set("nm_alloc_failures", dev.nm().alloc_failures());
       // DMA arbitration: how deep the per-engine request queues ran and how
       // many flows were backlogged at once, with a per-flow breakdown
-      // (std::map keeps flow order, so the dump stays deterministic).
+      // (for_each_flow visits flows in ascending id, so the dump stays
+      // deterministic).
       const auto arb_json = [](const auto& arb) {
         Json a = Json::object();
         a.set("policy", cab::arb_policy_name(arb.policy()));
@@ -296,7 +297,7 @@ Json Netstat::json() const {
         a.set("credit_recharges", arb.stats().credit_recharges);
         a.set("queued_now", static_cast<std::uint64_t>(arb.size()));
         Json flows = Json::array();
-        for (const auto& [flow, fs] : arb.flow_stats()) {
+        arb.for_each_flow([&](std::uint32_t flow, const auto& fs) {
           Json f = Json::object();
           f.set("flow", static_cast<std::uint64_t>(flow));
           f.set("weight", static_cast<std::uint64_t>(arb.flow_weight(flow)));
@@ -305,7 +306,7 @@ Json Netstat::json() const {
           f.set("max_depth", fs.max_depth);
           f.set("queued_now", static_cast<std::uint64_t>(arb.flow_depth(flow)));
           flows.push_back(std::move(f));
-        }
+        });
         a.set("flows", std::move(flows));
         return a;
       };

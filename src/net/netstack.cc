@@ -1,5 +1,6 @@
 #include "net/netstack.h"
 
+#include <bit>
 #include <stdexcept>
 
 #include "checksum/internet_checksum.h"
@@ -49,7 +50,7 @@ IpAddr NetStack::source_addr_for(IpAddr dst) const {
 void NetStack::tcp_bind(const ConnKey& key, TcpConnection* tp) {
   if (!tcp_conns_.insert(key, tp))
     throw std::invalid_argument("netstack: tcp tuple in use");
-  ++lport_use_[key.lport];
+  if (++lport_use_[key.lport] == 1) eph_vacant_.set(key.lport, false);
   // First binding names the flow: the id rides every packet the connection
   // sends so the CAB's DMA arbiter can queue per flow. The arbitration class
   // weight travels with the id — broadcast to every interface, since the
@@ -65,7 +66,7 @@ void NetStack::tcp_bind(const ConnKey& key, TcpConnection* tp) {
 
 void NetStack::tcp_unbind(const ConnKey& key) {
   if (tcp_conns_.erase(key) && lport_use_[key.lport] > 0) {
-    --lport_use_[key.lport];
+    if (--lport_use_[key.lport] == 0) eph_vacant_.set(key.lport, true);
   }
 }
 
@@ -111,20 +112,68 @@ bool NetStack::listen_service_exists(IpAddr laddr, std::uint16_t lport) const {
          tcp_listeners_.contains(std::make_pair(IpAddr{0}, lport));
 }
 
+NetStack::PortVacancy::PortVacancy() : count_(65536 - kEphemeralLo) {
+  // Whole words at a time: a stack is built per host, so this is set-up cost.
+  const std::uint32_t first = kEphemeralLo >> 6;
+  words_[first] = ~std::uint64_t{0} << (kEphemeralLo & 63);
+  for (std::uint32_t w = first; w < words_.size(); ++w) {
+    if (w > first) words_[w] = ~std::uint64_t{0};
+    summary_[w >> 6] |= std::uint64_t{1} << (w & 63);
+  }
+}
+
+void NetStack::PortVacancy::set(std::uint16_t port, bool vacant) noexcept {
+  if (port < kEphemeralLo) return;
+  std::uint64_t& w = words_[port >> 6];
+  const std::uint64_t bit = std::uint64_t{1} << (port & 63);
+  if (vacant) {
+    w |= bit;
+    ++count_;
+  } else {
+    w &= ~bit;
+    --count_;
+  }
+  const std::uint64_t sbit = std::uint64_t{1} << ((port >> 6) & 63);
+  if (w != 0) {
+    summary_[port >> 12] |= sbit;
+  } else {
+    summary_[port >> 12] &= ~sbit;
+  }
+}
+
+int NetStack::PortVacancy::first_from(std::uint32_t from) const noexcept {
+  if (from >= 65536) return -1;
+  std::uint32_t wi = from >> 6;
+  const std::uint64_t here = words_[wi] & (~std::uint64_t{0} << (from & 63));
+  if (here != 0) return static_cast<int>((wi << 6) + std::countr_zero(here));
+  // The next non-empty word after wi, through the summary.
+  if (++wi == words_.size()) return -1;
+  std::uint32_t si = wi >> 6;
+  std::uint64_t s = summary_[si] & (~std::uint64_t{0} << (wi & 63));
+  while (s == 0) {
+    if (++si == summary_.size()) return -1;
+    s = summary_[si];
+  }
+  wi = (si << 6) + static_cast<std::uint32_t>(std::countr_zero(s));
+  return static_cast<int>((wi << 6) + std::countr_zero(words_[wi]));
+}
+
 std::uint16_t NetStack::alloc_ephemeral_port(IpAddr laddr, IpAddr faddr,
                                              std::uint16_t fport) {
-  constexpr int kRange = 65536 - 10000;  // candidate ports per sweep
-  // Fast pass: a port with no binding at all is free for any tuple.
-  for (int tries = 0; tries < kRange; ++tries) {
-    const std::uint16_t p = next_ephemeral_++;
-    if (next_ephemeral_ < 10000) next_ephemeral_ = 10000;
-    if (lport_use_[p] == 0) return p;
+  // Fast pass: a port with no binding at all is free for any tuple. Take the
+  // first vacant port in rotation order from next_ephemeral_.
+  if (eph_vacant_.count() > 0) {
+    int p = eph_vacant_.first_from(next_ephemeral_);
+    if (p < 0) p = eph_vacant_.first_from(kEphemeralLo);  // wrap
+    next_ephemeral_ = p == 65535 ? kEphemeralLo : static_cast<std::uint16_t>(p + 1);
+    return static_cast<std::uint16_t>(p);
   }
   // Every port carries bindings (>55k connections): fall back to full-tuple
   // vacancy — multiple server endpoints let the total keep growing.
+  constexpr int kRange = 65536 - kEphemeralLo;  // candidate ports per sweep
   for (int tries = 0; tries < kRange; ++tries) {
     const std::uint16_t p = next_ephemeral_++;
-    if (next_ephemeral_ < 10000) next_ephemeral_ = 10000;
+    if (next_ephemeral_ < kEphemeralLo) next_ephemeral_ = kEphemeralLo;
     const ConnKey key{laddr, p, faddr, fport};
     if (!tcp_conns_.contains(key) && !tw_index_.contains(key)) return p;
   }

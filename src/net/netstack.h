@@ -5,6 +5,7 @@
 // capabilities, and policy, never by selecting a different stack.
 #pragma once
 
+#include <array>
 #include <deque>
 #include <functional>
 #include <list>
@@ -108,12 +109,14 @@ class NetStack {
   [[nodiscard]] TcpConnection* tcp_lookup(const ConnKey& key) const;
   [[nodiscard]] TcpConnection* tcp_lookup_listen(IpAddr laddr, std::uint16_t lport) const;
   // Pick a free local port for an outgoing connection to (faddr, fport).
-  // O(1) in the common case: a per-port use count (maintained by
-  // tcp_bind/tcp_unbind) finds an entirely unused port without scanning the
-  // connection table; only when every port carries at least one binding does
-  // the full-tuple fallback probe the table per candidate. Returns 0 (never
-  // a valid ephemeral port) when every tuple toward (faddr, fport) is in use
-  // — counted as eph_port_exhausted; callers surface it as an
+  // Ports rotate from 10000 to 65535 and wrap. The fast pass returns the
+  // first port at or after the rotation point that carries no binding at
+  // all; a vacancy bitmap kept by tcp_bind/tcp_unbind finds it in a bounded
+  // number of word scans, whatever the number of bindings. Only when every
+  // port carries at least one binding does the full-tuple fallback probe the
+  // connection and TIME-WAIT tables per candidate. Returns 0 (never a valid
+  // ephemeral port) when every tuple toward (faddr, fport) is in use —
+  // counted as eph_port_exhausted; callers surface it as an
   // EADDRNOTAVAIL-style connect failure. The returned port is reserved only
   // once tcp_bind binds it: two calls before that may return the same port.
   [[nodiscard]] std::uint16_t alloc_ephemeral_port(IpAddr laddr, IpAddr faddr,
@@ -264,9 +267,30 @@ class NetStack {
   std::size_t tw_live_ = 0;
   SynCookieJar cookie_jar_;
   bool syn_cookies_ = true;
+  // Ephemeral ports with no binding, as a two-level bitmap: bit p of
+  // `words_` is set iff port p is vacant, and bit w of `summary_` is set iff
+  // words_[w] has any bit set. Finding the next vacant port reads at most
+  // two words and the 16-word summary.
+  class PortVacancy {
+   public:
+    PortVacancy();  // every ephemeral port vacant
+    // Called on a port's 0 <-> 1 binding transitions only; ignores p < 10000.
+    void set(std::uint16_t port, bool vacant) noexcept;
+    [[nodiscard]] std::uint32_t count() const noexcept { return count_; }
+    // The first vacant port >= `from` (no wrap), or -1 if there is none.
+    [[nodiscard]] int first_from(std::uint32_t from) const noexcept;
+
+   private:
+    std::array<std::uint64_t, 65536 / 64> words_{};
+    std::array<std::uint64_t, 65536 / 64 / 64> summary_{};
+    std::uint32_t count_ = 0;
+  };
+
+  static constexpr std::uint16_t kEphemeralLo = 10000;
   // Per-port count of live full-tuple bindings (ephemeral allocator).
   std::vector<std::uint32_t> lport_use_ = std::vector<std::uint32_t>(65536, 0);
-  std::uint16_t next_ephemeral_ = 10000;
+  PortVacancy eph_vacant_;
+  std::uint16_t next_ephemeral_ = kEphemeralLo;
   std::uint32_t next_flow_id_ = 0;
   Stats stats_;
 };

@@ -263,8 +263,13 @@ void TcpConnection::stop_rexmt_timer() {
 }
 
 void TcpConnection::rexmt_fire() {
+  // BSD's TCP_MAXRXTSHIFT: the backoff doubles the timeout at most 12 times.
+  constexpr int kMaxRexmtShift = 12;
   ++stats_.rexmt_timeouts;
-  if (rexmt_backoff_ < 12) ++rexmt_backoff_;
+  // 12 consecutive timeouts have already backed off to the cap with no ACK
+  // progress between them (any new ACK resets the backoff).
+  const bool backoff_spent = rexmt_backoff_ >= kMaxRexmtShift;
+  if (!backoff_spent) ++rexmt_backoff_;
   rtt_timing_ = false;  // Karn: no samples from retransmitted data
 
   if (state_ == TcpState::kSynSent || state_ == TcpState::kSynReceived) {
@@ -284,6 +289,16 @@ void TcpConnection::rexmt_fire() {
   // A stale timer with nothing outstanding (e.g. armed just as the final ACK
   // arrived) is a no-op.
   if (snd_una_ == snd_max_) return;
+
+  // The peer has not acknowledged anything through 12 retransmissions: give
+  // the connection up, as the handshake give-up above does (BSD drops it at
+  // the timeout after the 12th). Without this an unanswered FIN is
+  // retransmitted for ever and the host never drains.
+  if (backoff_spent) {
+    enter_state(TcpState::kClosed);
+    teardown();
+    return;
+  }
 
   // Classic timeout reaction: collapse to go-back-N from snd_una.
   const std::uint32_t flight = snd_max_ - snd_una_;

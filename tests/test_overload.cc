@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <optional>
 #include <vector>
@@ -161,6 +162,215 @@ TEST(WeightedFair, RoundRobinOracleCyclesFlows) {
   while (!q.empty()) {
     EXPECT_EQ(q.pop().flow, expect);
     expect = expect == 3 ? 1 : expect + 1;
+  }
+}
+
+// ------------------------------------------------------ differential oracle
+
+// The arbiter as it was built on ordered maps: one std::deque per backlogged
+// flow, credits and weights in maps keyed by flow id. Kept here only as the
+// oracle for ArbQueue's slab-and-vector layout, which must make every pick
+// this one makes.
+template <typename R>
+class MapArbQueue {
+ public:
+  explicit MapArbQueue(cab::ArbPolicy p) : policy_(p) {}
+  void set_policy(cab::ArbPolicy p) { policy_ = p; }
+  [[nodiscard]] bool empty() const { return size_ == 0; }
+
+  void push(R r) {
+    const std::uint32_t flow = r.flow;
+    auto& fq = flows_[flow];
+    fq.push_back(Item{next_seq_++, std::move(r)});
+    ++size_;
+    ++stats_.pushes;
+    stats_.max_depth = std::max(stats_.max_depth, size_);
+    stats_.max_flows = std::max<std::uint64_t>(stats_.max_flows, flows_.size());
+    auto& fs = flow_stats_[flow];
+    ++fs.pushes;
+    fs.max_depth = std::max<std::uint64_t>(fs.max_depth, fq.size());
+  }
+
+  R pop() {
+    typename FlowMap::iterator it;
+    switch (policy_) {
+      case cab::ArbPolicy::kRoundRobin: it = pick_round_robin(); break;
+      case cab::ArbPolicy::kWeightedFair: it = pick_weighted(); break;
+      default: it = pick_fifo(); break;
+    }
+    R r = std::move(it->second.front().req);
+    it->second.pop_front();
+    last_flow_ = it->first;
+    ++flow_stats_[it->first].pops;
+    if (it->second.empty()) {
+      credits_.erase(it->first);
+      flows_.erase(it);
+    }
+    --size_;
+    ++stats_.pops;
+    return r;
+  }
+
+  void set_flow_weight(std::uint32_t flow, std::uint32_t weight) {
+    weights_[flow] = std::max<std::uint32_t>(weight, 1);
+  }
+  [[nodiscard]] std::uint32_t flow_weight(std::uint32_t flow) const {
+    auto it = weights_.find(flow);
+    return it == weights_.end() ? 1 : it->second;
+  }
+  [[nodiscard]] std::size_t flow_depth(std::uint32_t flow) const {
+    auto it = flows_.find(flow);
+    return it == flows_.end() ? 0 : it->second.size();
+  }
+
+  typename cab::ArbQueue<R>::Stats stats_;
+  std::map<std::uint32_t, typename cab::ArbQueue<R>::FlowStats> flow_stats_;
+
+ private:
+  struct Item {
+    std::uint64_t seq;
+    R req;
+  };
+  using FlowMap = std::map<std::uint32_t, std::deque<Item>>;
+
+  typename FlowMap::iterator pick_fifo() {
+    auto best = flows_.begin();
+    for (auto it = std::next(flows_.begin()); it != flows_.end(); ++it) {
+      if (it->second.front().seq < best->second.front().seq) best = it;
+    }
+    return best;
+  }
+  typename FlowMap::iterator pick_round_robin() {
+    auto it = flows_.upper_bound(last_flow_);
+    if (it == flows_.end()) it = flows_.begin();
+    return it;
+  }
+  typename FlowMap::iterator pick_weighted() {
+    for (int pass = 0; pass < 2; ++pass) {
+      auto it = flows_.upper_bound(last_flow_);
+      for (std::size_t n = 0; n < flows_.size(); ++n) {
+        if (it == flows_.end()) it = flows_.begin();
+        auto c = credits_.find(it->first);
+        if (c != credits_.end() && c->second > 0) {
+          --c->second;
+          return it;
+        }
+        ++it;
+      }
+      for (const auto& [flow, q] : flows_) credits_[flow] = flow_weight(flow);
+      ++stats_.credit_recharges;
+    }
+    return flows_.begin();
+  }
+
+  cab::ArbPolicy policy_;
+  FlowMap flows_;
+  std::size_t size_ = 0;
+  std::uint64_t next_seq_ = 0;
+  std::uint32_t last_flow_ = 0;
+  std::map<std::uint32_t, std::uint32_t> weights_;
+  std::map<std::uint32_t, std::uint64_t> credits_;
+};
+
+TEST(ArbQueue, MatchesMapReferenceUnderRandomTraffic) {
+  using Q = cab::ArbQueue<Req>;
+  constexpr std::uint32_t kFlows = 12;  // ids 0..11, 0 = control traffic
+  constexpr std::uint32_t kProbeFlows = kFlows + 4;  // also never-used ids
+  const cab::ArbPolicy kPolicies[] = {cab::ArbPolicy::kFifo,
+                                      cab::ArbPolicy::kRoundRobin,
+                                      cab::ArbPolicy::kWeightedFair};
+  for (const std::uint64_t seed : {1ull, 2ull, 3ull, 2026ull}) {
+    for (const cab::ArbPolicy start : kPolicies) {
+      SCOPED_TRACE(testing::Message() << "seed " << seed << " start policy "
+                                      << cab::arb_policy_name(start));
+      Q q(start);
+      MapArbQueue<Req> ref(start);
+      Lcg rng{seed};
+      std::uint64_t tag = 0;
+      // A weight set before the flow's first push, another set after it.
+      q.set_flow_weight(3, 3);
+      ref.set_flow_weight(3, 3);
+
+      const auto check = [&](int step) {
+        SCOPED_TRACE(testing::Message() << "step " << step);
+        const Q::Stats& a = q.stats();
+        const Q::Stats& b = ref.stats_;
+        ASSERT_EQ(a.pushes, b.pushes);
+        ASSERT_EQ(a.pops, b.pops);
+        ASSERT_EQ(a.max_depth, b.max_depth);
+        ASSERT_EQ(a.max_flows, b.max_flows);
+        ASSERT_EQ(a.credit_recharges, b.credit_recharges);
+        ASSERT_EQ(q.empty(), ref.empty());
+        std::vector<std::uint32_t> visited;
+        q.for_each_flow([&](std::uint32_t flow, const Q::FlowStats& fs) {
+          visited.push_back(flow);
+          const auto it = ref.flow_stats_.find(flow);
+          ASSERT_NE(it, ref.flow_stats_.end()) << "flow " << flow;
+          EXPECT_EQ(fs.pushes, it->second.pushes) << "flow " << flow;
+          EXPECT_EQ(fs.pops, it->second.pops) << "flow " << flow;
+          EXPECT_EQ(fs.max_depth, it->second.max_depth) << "flow " << flow;
+        });
+        std::vector<std::uint32_t> expected;
+        for (const auto& [flow, fs] : ref.flow_stats_) expected.push_back(flow);
+        ASSERT_EQ(visited, expected);
+        for (std::uint32_t f = 0; f < kProbeFlows; ++f) {
+          ASSERT_EQ(q.flow_depth(f), ref.flow_depth(f)) << "flow " << f;
+          ASSERT_EQ(q.flow_weight(f), ref.flow_weight(f)) << "flow " << f;
+        }
+      };
+
+      for (int step = 0; step < 3000; ++step) {
+        const std::uint64_t op = rng.next() >> 33;
+        switch (op % 16) {
+          case 0:  // weight change, on a flow that may or may not have queued
+          case 1: {
+            const auto f = static_cast<std::uint32_t>((rng.next() >> 33) % kProbeFlows);
+            const auto w = static_cast<std::uint32_t>((rng.next() >> 33) % 6);  // 0 -> 1
+            q.set_flow_weight(f, w);
+            ref.set_flow_weight(f, w);
+            break;
+          }
+          case 2: {  // switch policy mid-stream
+            const cab::ArbPolicy p = kPolicies[(rng.next() >> 33) % 3];
+            q.set_policy(p);
+            ref.set_policy(p);
+            break;
+          }
+          case 3: {  // drain everything: every flow leaves and later rejoins
+            while (!ref.empty()) {
+              const Req a = q.pop();
+              const Req b = ref.pop();
+              ASSERT_EQ(a.flow, b.flow) << "step " << step;
+              ASSERT_EQ(a.tag, b.tag) << "step " << step;
+            }
+            break;
+          }
+          default:
+            if (op % 2 == 0) {  // burst of pushes over a few flows
+              const std::size_t n = 1 + (rng.next() >> 33) % 6;
+              for (std::size_t i = 0; i < n; ++i) {
+                const auto f = static_cast<std::uint32_t>((rng.next() >> 33) % kFlows);
+                q.push(Req{f, tag});
+                ref.push(Req{f, tag});
+                ++tag;
+              }
+            } else {  // a few pops
+              const std::size_t n = 1 + (rng.next() >> 33) % 5;
+              for (std::size_t i = 0; i < n && !ref.empty(); ++i) {
+                const Req a = q.pop();
+                const Req b = ref.pop();
+                ASSERT_EQ(a.flow, b.flow) << "step " << step;
+                ASSERT_EQ(a.tag, b.tag) << "step " << step;
+              }
+            }
+            break;
+        }
+        check(step);
+        if (HasFatalFailure()) return;
+      }
+      // The random policy switches reached weighted fair and its recharges.
+      EXPECT_GT(q.stats().credit_recharges, 0u);
+    }
   }
 }
 

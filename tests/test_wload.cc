@@ -4,12 +4,15 @@
 // what one side sent is exactly what the other side counted.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <set>
 
 #include "apps/ttcp.h"
 #include "core/multi_testbed.h"
 #include "core/netstat.h"
 #include "core/testbed.h"
+#include "sim/rng.h"
 #include "wload/population.h"
 #include "wload/trace_replay.h"
 #include "wload/wapps.h"
@@ -243,6 +246,153 @@ TEST(Wload, ConcurrentConnectsNeverShareTheLastFreeTuple) {
   for (std::uint32_t p = 10000; p < 65536; ++p)
     if (p != kFree) stack.tcp_unbind(taken(p));
   tb.sim.run();  // drain, so no suspended process outlives the testbed
+}
+
+// The ephemeral allocator as a naive rotation scan over its own copy of the
+// bindings: the port sequence NetStack::alloc_ephemeral_port must reproduce
+// exactly, next-port state included.
+struct RotationScan {
+  std::vector<std::uint32_t> use = std::vector<std::uint32_t>(65536, 0);
+  std::set<net::ConnKey> bound;
+  std::uint16_t next = 10000;
+  std::uint64_t exhausted = 0;
+
+  void bind(const net::ConnKey& k) {
+    bound.insert(k);
+    ++use[k.lport];
+  }
+  void unbind(const net::ConnKey& k) {
+    if (bound.erase(k) != 0 && use[k.lport] > 0) --use[k.lport];
+  }
+  std::uint16_t alloc(net::IpAddr laddr, net::IpAddr faddr, std::uint16_t fport) {
+    for (int pass = 0; pass < 2; ++pass) {
+      for (int tries = 0; tries < 65536 - 10000; ++tries) {
+        const std::uint16_t p = next++;
+        if (next < 10000) next = 10000;
+        if (pass == 0 ? use[p] == 0 : !bound.contains({laddr, p, faddr, fport}))
+          return p;
+      }
+    }
+    ++exhausted;
+    return 0;
+  }
+};
+
+TEST(EphemeralPort, BitmapMatchesRotationScan) {
+  core::Testbed tb;
+  auto& stack = tb.a->stack();
+  const net::IpAddr laddr = stack.source_addr_for(core::Testbed::kIpB);
+  const net::IpAddr faddr = core::Testbed::kIpB;
+  // One idle socket's connection stands in for every binding: the allocator
+  // consults only the tables, never the connection.
+  socket::Socket placeholder(stack, socket::Socket::Proto::kTcp);
+  RotationScan ref;
+  sim::Rng rng(99);
+  const auto key = [&](std::uint32_t port, std::uint16_t fport) {
+    return net::ConnKey{laddr, static_cast<std::uint16_t>(port), faddr, fport};
+  };
+  const auto bind = [&](const net::ConnKey& k) {
+    if (ref.bound.contains(k)) return;
+    stack.tcp_bind(k, &placeholder.tcp());
+    ref.bind(k);
+  };
+  const auto unbind = [&](const net::ConnKey& k) {
+    stack.tcp_unbind(k);
+    ref.unbind(k);
+  };
+  // Each answer and the one after it match the scan; a nonzero answer is
+  // never below the ephemeral range. Returns the first answer.
+  std::vector<std::uint16_t> answers;
+  const auto alloc_twice = [&](std::uint16_t fport) {
+    const std::uint16_t p = stack.alloc_ephemeral_port(laddr, faddr, fport);
+    EXPECT_EQ(p, ref.alloc(laddr, faddr, fport));
+    const std::uint16_t q = stack.alloc_ephemeral_port(laddr, faddr, fport);
+    EXPECT_EQ(q, ref.alloc(laddr, faddr, fport));
+    answers.push_back(p);
+    answers.push_back(q);
+    EXPECT_TRUE(p == 0 || p >= 10000) << p;
+    EXPECT_EQ(stack.stats().eph_port_exhausted, ref.exhausted);
+    return p;
+  };
+
+  // Ports below the range bound by hand (a listener-side tuple) are never
+  // handed out, bound or not.
+  bind(key(5001, 80));
+  bind(key(9999, 80));
+
+  // Sparse random traffic: connects bind what they get, closes unbind.
+  std::vector<net::ConnKey> live;
+  for (int step = 0; step < 4000; ++step) {
+    const std::uint64_t op = rng.next() % 8;
+    if (op < 3) {
+      const auto fport = static_cast<std::uint16_t>(80 + rng.next() % 3);
+      const std::uint16_t p = alloc_twice(fport);
+      ASSERT_NE(p, 0);
+      live.push_back(key(p, fport));
+      bind(live.back());
+    } else if (op < 5) {  // a hand-bound tuple anywhere in the range
+      const auto port = static_cast<std::uint32_t>(9990 + rng.next() % 55546);
+      live.push_back(key(port, 80));
+      bind(live.back());
+    } else if (!live.empty()) {
+      const std::size_t i = rng.next() % live.size();
+      unbind(live[i]);
+      live[i] = live.back();
+      live.pop_back();
+    }
+    if (HasFailure()) return;
+  }
+  unbind(key(9999, 80));
+  for (const auto& k : live) unbind(k);
+  live.clear();
+
+  // Every port of the range bound toward fport 1 but a few, including the
+  // top one: the fast pass hands those out in rotation order and wraps from
+  // 65535 to 10000.
+  const std::uint32_t kHoles[] = {10000, 10001, 30000, 65534, 65535};
+  for (std::uint32_t p = 10000; p < 65536; ++p)
+    if (std::find(std::begin(kHoles), std::end(kHoles), p) == std::end(kHoles))
+      bind(key(p, 1));
+  answers.clear();
+  for (int i = 0; i < 10; ++i) {
+    const std::uint16_t p = alloc_twice(2);
+    if (ref.use[p] != 0) break;  // the fallback answered: no vacancy left
+    bind(key(p, 2));
+  }
+  bool wrapped = false;
+  for (std::size_t i = 1; i < answers.size(); ++i)
+    wrapped = wrapped || (answers[i - 1] == 65535 && answers[i] < 30000);
+  EXPECT_TRUE(wrapped);
+  // Now every port carries a binding: the fallback finds free tuples toward
+  // a fresh endpoint, then one unbind makes its port the fast pass's answer.
+  ASSERT_EQ(ref.bound.size(), 55536u + 1);  // + the hand-bound 5001
+  alloc_twice(3);
+  unbind(key(20000, 1));
+  EXPECT_EQ(alloc_twice(3), 20000);
+  bind(key(20000, 1));
+
+  // Seeded churn at the edge: ports come and go while the vacancy count
+  // crosses 0, so answers alternate between the two passes.
+  for (int step = 0; step < 60; ++step) {
+    const auto port = static_cast<std::uint32_t>(10000 + rng.next() % 55536);
+    if (step % 3 == 0) {
+      unbind(key(port, 1));
+    } else {
+      const std::uint16_t p = alloc_twice(1);
+      if (p != 0) bind(key(p, 1));
+    }
+    if (HasFailure()) return;
+  }
+
+  // True exhaustion toward (faddr, 1): every tuple of the range is taken.
+  for (std::uint32_t p = 10000; p < 65536; ++p) bind(key(p, 1));
+  const std::uint64_t before = stack.stats().eph_port_exhausted;
+  EXPECT_EQ(alloc_twice(1), 0);
+  EXPECT_EQ(stack.stats().eph_port_exhausted, before + 2);
+
+  for (const net::ConnKey& k : std::vector<net::ConnKey>(ref.bound.begin(),
+                                                          ref.bound.end()))
+    unbind(k);
 }
 
 wload::PopulationConfig small_population(std::uint64_t seed) {
